@@ -5,13 +5,15 @@
 //  * the calibrated cost model the deadline logic runs on (comparable to
 //    the paper's FlexRAN-grade testbed: DL < 300 ns; UL bimodal with
 //    merges at 4-6 us growing with the RU count), and
-//  * real wall-clock timings of this library's scalar BFP merge kernel,
-//    for honesty about the reference implementation's own speed.
+//  * real wall-clock timings of this library's BFP merge on the kernel
+//    tier the host dispatches to (named in the output), for honesty about
+//    the implementation's own speed.
 #include <algorithm>
 #include <chrono>
 
 #include "bench_util.h"
 
+#include "iq/kernels/kernels.h"
 #include "iq/prb.h"
 
 namespace rb::bench {
@@ -55,7 +57,7 @@ void run(int n_rus, Dist* dl_c, Dist* dl_u, Dist* ul_u) {
   d.measure(200);
 }
 
-/// Real wall-clock timing of the scalar merge kernel at 273 PRBs.
+/// Real wall-clock timing of the dispatched merge kernel at 273 PRBs.
 double real_merge_us(int n_rus) {
   const CompConfig cfg{CompMethod::BlockFloatingPoint, 9};
   const int n_prb = 273;
@@ -111,10 +113,11 @@ int main() {
   row("paper shape: DL < 0.3 us; UL bimodal - ~75%% cheap cache ops, the "
       "rest 4-6 us merges growing with the RU count");
   row("");
-  row("real scalar BFP merge kernel on this machine (273 PRBs, W=9):");
+  row("real BFP merge on this machine, %s kernel tier (273 PRBs, W=9):",
+      rb::kernel_tier_name(rb::iq_kernel_tier()));
   for (int n : {2, 3, 4, 5})
     row("  %d RUs: %8.1f us per merge", n, real_merge_us(n));
-  row("(the testbed's AVX-512 FlexRAN-grade kernels are ~20-30x faster; "
-      "the cost model above is calibrated to them)");
+  row("(the cost model above is calibrated to the testbed's AVX-512 "
+      "FlexRAN-grade kernels, not to this host)");
   return 0;
 }

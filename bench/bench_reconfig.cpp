@@ -1,13 +1,15 @@
 // Hitless-operations bench (ISSUE 7): 100 live reconfigurations over a
 // 2000-slot chaos-faulted soak, with a telemetry diff gate proving zero
-// UL/DL loss attributable to reconfiguration, serial == parallel(4), and
+// UL/DL loss attributable to reconfiguration, a serial == parallel gate
+// on a 4-cell city running the same soak in every cell, and
 // checkpoint/restore round-trip cost. Results land in BENCH_reconfig.json.
 #include <cstdio>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "city/city.h"
 #include "common/state_stats.h"
 #include "sim/hitless.h"
 
@@ -17,17 +19,19 @@ namespace {
 constexpr int kFloors = 3;
 constexpr int kSoakSlots = 2000;
 constexpr int kReconfigs = 100;
+constexpr int kCityCells = 4;
 constexpr std::uint64_t kSeed = 0x5eed1e55;
 
+/// The chaos-faulted DAS floor rig, built into `d`; `seed` drives its
+/// fault streams.
 struct Rig {
-  Deployment d;
+  Deployment& d;
   Deployment::DuHandle du;
   std::vector<Deployment::RuHandle> rus;
   MiddleboxRuntime* rt = nullptr;
   std::vector<UeId> ues;
 
-  explicit Rig(const exec::ExecPolicy& policy) {
-    d.engine.set_exec_policy(policy);
+  Rig(Deployment& dep, std::uint64_t seed) : d(dep) {
     du = d.add_du(bench::cell_cfg(MHz(100), bench::kBand78Center, 1),
                   srsran_profile(), 0);
     std::vector<Deployment::RuHandle*> ptrs;
@@ -45,37 +49,24 @@ struct Rig {
     FaultPlan ul0;
     ul0.loss = 0.01;
     ul0.jitter_ns = 20000;
-    ul0.seed = kSeed ^ 0xa1;
+    ul0.seed = seed ^ 0xa1;
     FaultPlan dl0;
     dl0.delay_ns = 10000;
-    dl0.seed = kSeed ^ 0xa2;
+    dl0.seed = seed ^ 0xa2;
     d.add_fault(*rus[0].port, ul0, dl0);
     FaultPlan ul1;
     ul1.ge_enter_bad = 0.004;
     ul1.ge_exit_bad = 0.25;
     ul1.ge_loss_bad = 0.5;
     ul1.reorder = 0.01;
-    ul1.seed = kSeed ^ 0xb1;
+    ul1.seed = seed ^ 0xb1;
     FaultPlan dl1;
     dl1.duplicate = 0.02;
     dl1.corrupt = 0.01;
-    dl1.seed = kSeed ^ 0xb2;
+    dl1.seed = seed ^ 0xb2;
     d.add_fault(*rus[1].port, ul1, dl1);
   }
 };
-
-/// Determinism fingerprint: runtime counters + fault counters + UE bits.
-std::string fingerprint(Rig& r) {
-  std::ostringstream os;
-  for (const auto& rt : r.d.runtimes)
-    for (const auto& [k, v] : rt->telemetry().counters())
-      os << k << "=" << v << "\n";
-  os << r.d.fault_dump();
-  for (UeId ue : r.ues)
-    os << "ue" << ue << " dl=" << r.d.air.dl_bits(ue)
-       << " ul=" << r.d.air.ul_bits(ue) << "\n";
-  return os.str();
-}
 
 struct SoakResult {
   std::string fp;
@@ -85,42 +76,54 @@ struct SoakResult {
   std::uint64_t applied = 0;
 };
 
-/// One 2000-slot chaos soak. With reconfig enabled, every 20th slot
-/// barrier applies an eject+readmit pair on a rotating DAS member - a
-/// net-no-op batch, so the run must be byte-identical to the plain soak:
-/// any packet dropped, delayed or re-ordered by the act of reconfiguring
-/// would show up in the fingerprint diff.
-SoakResult soak(const exec::ExecPolicy& policy, bool reconfig) {
-  Rig rig(policy);
-  if (!rig.d.attach_all(600)) {
+/// One 2000-slot chaos soak of `cells` rigs (cell i seeded kSeed + i),
+/// one per shard of a city conductor with `workers` threads. With
+/// reconfig enabled, every 20th slot barrier applies an eject+readmit
+/// pair on a rotating DAS member in every cell - a net-no-op batch, so
+/// the run must be byte-identical to the plain soak: any packet dropped,
+/// delayed or re-ordered by the act of reconfiguring would show up in
+/// the fingerprint diff.
+SoakResult soak(int cells, int workers, bool reconfig) {
+  city::City c(workers);
+  std::vector<std::unique_ptr<Rig>> rigs;
+  for (int i = 0; i < cells; ++i)
+    rigs.push_back(std::make_unique<Rig>(
+        *c.add_cell("c" + std::to_string(i)).dep, kSeed + std::uint64_t(i)));
+  if (!c.attach_all(600)) {
     std::fprintf(stderr, "attach failed\n");
     std::exit(2);
   }
-  ReconfigManager mgr(rig.d);
+  std::vector<std::unique_ptr<ReconfigManager>> mgrs;
+  for (auto& r : rigs) mgrs.push_back(std::make_unique<ReconfigManager>(r->d));
   int batches = 0;
   for (int s = 0; s < kSoakSlots; s += 20) {
     if (reconfig && batches < kReconfigs) {
-      ReconfigOp op;
-      op.kind = ReconfigOp::Kind::DasSetMember;
-      op.index = 0;
-      op.mac = rig.rus[std::size_t(batches % kFloors)].mac;
-      op.enable = false;
-      mgr.queue(op);
-      op.enable = true;
-      mgr.queue(op);
+      for (int i = 0; i < cells; ++i) {
+        ReconfigOp op;
+        op.kind = ReconfigOp::Kind::DasSetMember;
+        op.index = 0;
+        op.mac = rigs[std::size_t(i)]->rus[std::size_t(batches % kFloors)].mac;
+        op.enable = false;
+        mgrs[std::size_t(i)]->queue(op);
+        op.enable = true;
+        mgrs[std::size_t(i)]->queue(op);
+      }
       ++batches;
     }
-    rig.d.engine.run_slots(20);
+    c.run_slots(20);
   }
   SoakResult res;
-  res.fp = fingerprint(rig);
-  for (UeId ue : rig.ues) {
-    res.dl_mbits += double(rig.d.air.dl_bits(ue)) / 1e6;
-    res.ul_mbits += double(rig.d.air.ul_bits(ue)) / 1e6;
+  res.fp = c.fingerprint();
+  for (int i = 0; i < cells; ++i) {
+    const Rig& rig = *rigs[std::size_t(i)];
+    for (UeId ue : rig.ues) {
+      res.dl_mbits += double(rig.d.air.dl_bits(ue)) / 1e6;
+      res.ul_mbits += double(rig.d.air.ul_bits(ue)) / 1e6;
+    }
+    for (const auto& p : rig.d.ports) res.rx_dropped += p->stats().rx_dropped;
+    res.stalls += rig.rt->telemetry().counter("das_combiner_stalls");
+    res.applied += mgrs[std::size_t(i)]->applied();
   }
-  for (const auto& p : rig.d.ports) res.rx_dropped += p->stats().rx_dropped;
-  res.stalls = rig.rt->telemetry().counter("das_combiner_stalls");
-  res.applied = mgr.applied();
   return res;
 }
 
@@ -133,36 +136,39 @@ int main() {
                 "chaos soak",
                 "ISSUE 7 (robustness beyond the paper)");
 
-  bench::row("%-26s %12s %12s %10s %8s %8s", "run", "dl_mbits", "ul_mbits",
+  bench::row("%-32s %12s %12s %10s %8s %8s", "run", "dl_mbits", "ul_mbits",
              "reconfigs", "dropped", "stalls");
   const auto line = [](const char* label, const SoakResult& r) {
-    bench::row("%-26s %12.2f %12.2f %10llu %8llu %8llu", label, r.dl_mbits,
+    bench::row("%-32s %12.2f %12.2f %10llu %8llu %8llu", label, r.dl_mbits,
                r.ul_mbits, static_cast<unsigned long long>(r.applied),
                static_cast<unsigned long long>(r.rx_dropped),
                static_cast<unsigned long long>(r.stalls));
   };
 
-  const SoakResult base = soak(exec::ExecPolicy::serial(), false);
+  const SoakResult base = soak(1, 0, false);
   line("serial baseline", base);
-  const SoakResult rec = soak(exec::ExecPolicy::serial(), true);
+  const SoakResult rec = soak(1, 0, true);
   line("serial +100 reconfigs", rec);
-  const SoakResult par = soak(exec::ExecPolicy::parallel(4), true);
-  line("parallel(4) +100 reconfigs", par);
+  const SoakResult city_ser = soak(kCityCells, 0, true);
+  line("city x4 serial +100 reconfigs", city_ser);
+  const SoakResult city_par = soak(kCityCells, 4, true);
+  line("city x4 4 workers +100 reconfigs", city_par);
 
   // Gates. The fingerprint equality is the telemetry diff: every counter,
   // fault statistic and UE bit count identical means zero UL/DL loss
   // attributable to reconfiguration.
   const bool gate_diff = rec.fp == base.fp;
-  const bool gate_par = par.fp == rec.fp;
+  const bool gate_par = city_par.fp == city_ser.fp;
   const bool gate_count = rec.applied == 2 * kReconfigs;
   const bool gate_clean = rec.rx_dropped == 0 && rec.stalls == 0;
 
   // Checkpoint/restore round-trip cost on the same rig shape.
-  Rig ck(exec::ExecPolicy::serial());
+  Deployment d1, d2;
+  Rig ck(d1, kSeed);
   (void)ck.d.attach_all(600);
   ck.d.engine.run_slots(200);
   const auto blob = checkpoint(ck.d);
-  Rig ck2(exec::ExecPolicy::serial());
+  Rig ck2(d2, kSeed);
   const RestoreResult rres = restore(ck2.d, blob);
   const bool gate_restore = rres.ok();
 
@@ -172,7 +178,7 @@ int main() {
   bench::row("");
   bench::row("telemetry diff vs baseline: %s",
              gate_diff ? "IDENTICAL (zero loss from reconfig)" : "DIVERGED");
-  bench::row("serial == parallel(4): %s", gate_par ? "yes" : "NO");
+  bench::row("city serial == city 4 workers: %s", gate_par ? "yes" : "NO");
   bench::row("ops applied: %llu (want %d), dropped=%llu stalls=%llu: %s",
              static_cast<unsigned long long>(rec.applied), 2 * kReconfigs,
              static_cast<unsigned long long>(rec.rx_dropped),

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "city/city.h"
-#include "exec/shard.h"
 #include "ran/vendor.h"
 
 namespace rb::city {
@@ -17,10 +16,6 @@ constexpr int kGuestPci = 999;
 /// uses: 106-PRB tenants at offsets 10 and 150 of 273 PRBs).
 constexpr int kHostOffset = 10;
 constexpr int kGuestOffset = 150;
-
-std::uint64_t ru_flow_key(RuId id) {
-  return exec::flow_key(std::uint32_t(id), 0);
-}
 
 /// Mild seeded fault cocktail for one cell's DU-side fronthaul link:
 /// light enough that attach still succeeds through it, busy enough that
@@ -194,10 +189,6 @@ std::unique_ptr<City> build_city(const CityConfig& cfg) {
     Port::connect(xl.b, north1, 500);
 
     h.engine.add_middlebox(*rt);
-    h.engine.bind_affinity(*shared_ru.ru, ru_flow_key(shared_ru.id));
-    h.engine.bind_affinity(*host_du.du, ru_flow_key(shared_ru.id));
-    h.engine.bind_affinity(static_cast<Pumpable&>(*rt),
-                           ru_flow_key(shared_ru.id));
     MiddleboxRuntime* share_rt = rt.get();
     h.apps.push_back(std::move(app));
     h.runtimes.push_back(std::move(rt));

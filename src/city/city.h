@@ -5,9 +5,8 @@
 // links, controller) advancing slot-synchronously inside its own shard.
 // The conductor owns the global slot barrier: it dispatches one job per
 // cell onto an exec::WorkerPool (cells are the outer shard; each cell's
-// engine runs its historical serial path inside the job), then — with
-// every worker parked — performs all inter-cell work itself in fixed
-// creation order:
+// serial engine runs inside the job), then — with every worker parked —
+// performs all inter-cell work itself in fixed creation order:
 //
 //   1. drain the lock-free SPSC xlink rings (packets captured leaving a
 //      shard during the slot are injected into their target shard's port

@@ -1,8 +1,9 @@
 // Thread-role flags used to debug-assert threading contracts.
 //
 // The exec worker pool marks its threads at startup; code that must only
-// run on the coordinator (e.g. Telemetry::publish/subscribe under
-// ExecPolicy::parallel) asserts !on_exec_worker_thread().
+// run on the thread owning a cell (e.g. Telemetry::publish/subscribe)
+// asserts !on_exec_worker_thread(). A city conductor's cell job owns its
+// cell, see ShardCoordinatorScope.
 #pragma once
 
 namespace rb {

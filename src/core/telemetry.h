@@ -105,12 +105,12 @@ class Telemetry {
   /// callback neither invalidates the traversal nor receives the sample
   /// being published — it sees subsequent samples only.
   ///
-  /// Threading contract: publish() and subscribe() are coordinator-only.
-  /// Under ExecPolicy::parallel, middlebox handlers run on pool workers
-  /// but never publish from them — apps buffer samples during the slot
-  /// and publish from on_slot()/pump hooks, which the engine invokes at
-  /// the slot barrier with all workers parked. The callback list is
-  /// therefore never touched concurrently and needs no lock.
+  /// Threading contract: publish() and subscribe() run only on the
+  /// thread that owns this telemetry's cell — the caller of a single
+  /// engine, or the city conductor worker running that cell's job (inside
+  /// a ShardCoordinatorScope). A bare worker-pool job must not call them.
+  /// One thread touches a cell per slot, so the callback list needs no
+  /// lock.
   void publish(const TelemetrySample& s) {
     assert(!on_exec_worker_thread() &&
            "publish() is coordinator-only; buffer samples until the "

@@ -11,11 +11,11 @@
 //
 // Determinism contract (DESIGN.md section 4g):
 //  * Sensors are virtual-time counters only; all arithmetic is fixed-order
-//    double EWMA updates on the coordinator thread. Wall-clock feeds
+//    double EWMA updates on the thread running the cell. Wall-clock feeds
 //    nothing but the obs decision span and the ctrlstats watermarks.
 //  * Actions apply at the slot barrier, before any entity or middlebox
-//    touches the new slot, so serial and parallel(n) runs see identical
-//    knob settings for every packet.
+//    touches the new slot, so serial and parallel city conductors see
+//    identical knob settings for every packet.
 //  * dump() renders the full controller state in fixed order for the
 //    chaos-suite determinism snapshots.
 #pragma once

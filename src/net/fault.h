@@ -8,10 +8,10 @@
 //
 // Determinism: each direction owns a splitmix64 PRNG seeded from the
 // plan seed, and draws exactly one stream of numbers in packet-send
-// order. Because per-link send order is identical under serial and
-// parallel execution (the engine's deferred-TX barrier flushes in
-// insertion order and flow-affine islands serialize each link), two runs
-// with the same seed replay bit-identically under any ExecPolicy.
+// order. A link belongs to one cell, whose serial SlotEngine fixes that
+// order, and the city conductor runs each cell as one job per slot, so
+// two runs with the same seed replay bit-identically on a serial or a
+// parallel conductor.
 #pragma once
 
 #include <cstdint>

@@ -6,8 +6,8 @@
 // across the full int64 nanosecond range with a few KB of counters.
 // Merging is element-wise addition, so merging per-worker shards gives
 // byte-identical state to recording the concatenated stream — the
-// property the parallel engine's sharded telemetry relies on
-// (tests/test_obs.cpp HistogramMergeEqualsSingleStream).
+// property sharded telemetry relies on (tests/test_obs.cpp
+// LatencyHistogram.MergedShardsEqualSingleStream).
 #pragma once
 
 #include <array>

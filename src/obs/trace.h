@@ -4,9 +4,9 @@
 // Every instrumentation point in the stack (slot engine, middlebox
 // runtime, ports, fault layer, apps) emits 32-byte POD events stamped
 // with *virtual* nanoseconds — the simulation's modeled time, not wall
-// time. Because modeled time is deterministic under any ExecPolicy, a
-// serial run and a parallel(4) run of the same seed emit the same event
-// multiset; the collector merges the per-thread rings at the slot
+// time. Because modeled time is deterministic, a serial and a parallel
+// city conductor running the same seed emit the same event multiset;
+// the collector merges the per-thread rings at the slot
 // barrier with a total order, so the two runs produce equivalent traces
 // (asserted by tests/test_obs.cpp).
 //

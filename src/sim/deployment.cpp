@@ -2,16 +2,7 @@
 
 #include <stdexcept>
 
-#include "exec/shard.h"
-
 namespace rb {
-namespace {
-// Canonical flow key of an RU's fronthaul streams. Every entity touching
-// the RU (DU, middlebox runtime, the RU itself) binds to this key, so the
-// engine's union-find fuses them into one execution island; deployments
-// sharing an RU merge automatically.
-std::uint64_t ru_key(RuId id) { return exec::flow_key(std::uint32_t(id), 0); }
-}  // namespace
 
 Deployment::Deployment(ChannelParams channel, Scs scs)
     : air(ChannelModel(channel), scs), engine(air, scs) {
@@ -87,8 +78,6 @@ void Deployment::connect_direct(DuHandle& du, RuHandle& ru, int prb_offset,
                                 std::vector<LayerMap> layers) {
   Port::connect(*du.port, *ru.port, /*latency_ns=*/1'000);
   air.assign_ru(du.cell, ru.id, prb_offset, std::move(layers));
-  engine.bind_affinity(*du.du, ru_key(ru.id));
-  engine.bind_affinity(*ru.ru, ru_key(ru.id));
   // The DU addresses MacAddr::ru(du_index); point it at the real RU.
   // (Direct wire: addressing is checked by the RU only via eth parse.)
 }
@@ -133,11 +122,6 @@ MiddleboxRuntime& Deployment::add_das(DuHandle& du,
   }
 
   engine.add_middlebox(*rt);
-  for (auto* r : ru_list) {
-    engine.bind_affinity(*r->ru, ru_key(r->id));
-    engine.bind_affinity(*du.du, ru_key(r->id));
-    engine.bind_affinity(static_cast<Pumpable&>(*rt), ru_key(r->id));
-  }
   apps.push_back(std::move(app));
   runtimes.push_back(std::move(rt));
   return *runtimes.back();
@@ -192,11 +176,6 @@ MiddleboxRuntime& Deployment::add_dmimo(DuHandle& du,
   }
 
   engine.add_middlebox(*rt);
-  for (auto* r : ru_list) {
-    engine.bind_affinity(*r->ru, ru_key(r->id));
-    engine.bind_affinity(*du.du, ru_key(r->id));
-    engine.bind_affinity(static_cast<Pumpable&>(*rt), ru_key(r->id));
-  }
   apps.push_back(std::move(app));
   runtimes.push_back(std::move(rt));
   return *runtimes.back();
@@ -243,9 +222,6 @@ MiddleboxRuntime& Deployment::add_rushare(const std::vector<DuHandle*>& du_list,
   }
 
   engine.add_middlebox(*rt);
-  engine.bind_affinity(*ru.ru, ru_key(ru.id));
-  engine.bind_affinity(static_cast<Pumpable&>(*rt), ru_key(ru.id));
-  for (auto* d : du_list) engine.bind_affinity(*d->du, ru_key(ru.id));
   apps.push_back(std::move(app));
   runtimes.push_back(std::move(rt));
   return *runtimes.back();
@@ -273,9 +249,6 @@ MiddleboxRuntime& Deployment::add_prbmon(DuHandle& du, RuHandle& ru,
   air.assign_ru(du.cell, ru.id, 0);
 
   engine.add_middlebox(*rt);
-  engine.bind_affinity(*du.du, ru_key(ru.id));
-  engine.bind_affinity(*ru.ru, ru_key(ru.id));
-  engine.bind_affinity(static_cast<Pumpable&>(*rt), ru_key(ru.id));
   apps.push_back(std::move(app));
   runtimes.push_back(std::move(rt));
   return *runtimes.back();
@@ -311,10 +284,6 @@ MiddleboxRuntime& Deployment::add_failover(DuHandle& primary,
   air.assign_ru(standby.cell, ru.id, 0);
 
   engine.add_middlebox(*rt);
-  engine.bind_affinity(*primary.du, ru_key(ru.id));
-  engine.bind_affinity(*standby.du, ru_key(ru.id));
-  engine.bind_affinity(*ru.ru, ru_key(ru.id));
-  engine.bind_affinity(static_cast<Pumpable&>(*rt), ru_key(ru.id));
   apps.push_back(std::move(app));
   runtimes.push_back(std::move(rt));
   return *runtimes.back();

@@ -1,101 +1,31 @@
 // Seeded chaos soak: every middlebox deployment runs for thousands of
 // slots under mixed fronthaul faults (loss, bursts, jitter, reordering,
 // duplication, corruption, flaps) and must neither crash nor stall, keep
-// carrying traffic, and replay bit-identically for the same seed under
-// both serial and parallel execution.
+// carrying traffic, and replay bit-identically for the same seed on both
+// a serial and a parallel city conductor.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "sim/deployment.h"
+#include "rigs.h"
 
 namespace rb {
 namespace {
 
-CellConfig cell100() {
-  CellConfig c;
-  c.bandwidth = MHz(100);
-  c.max_layers = 4;
-  c.pci = 1;
-  return c;
-}
-
-/// DAS cell over three floors with one loaded UE per floor.
-struct ChaosDasRig {
-  Deployment d;
-  Deployment::DuHandle du;
-  std::vector<Deployment::RuHandle> rus;
-  MiddleboxRuntime* rt = nullptr;
-  std::vector<UeId> ues;
-
-  explicit ChaosDasRig(const exec::ExecPolicy& policy = {}) {
-    d.engine.set_exec_policy(policy);
-    du = d.add_du(cell100(), srsran_profile(), 0);
-    std::vector<Deployment::RuHandle*> ptrs;
-    for (int f = 0; f < 3; ++f) {
-      RuSite site;
-      site.pos = d.plan.ru_position(f, 1);
-      site.n_antennas = 4;
-      site.bandwidth = MHz(100);
-      site.center_freq = du.du->config().cell.center_freq;
-      rus.push_back(d.add_ru(site, std::uint8_t(f), du.du->fh()));
-    }
-    for (auto& r : rus) ptrs.push_back(&r);
-    rt = &d.add_das(du, ptrs, DriverKind::Dpdk, 2);
-    for (int f = 0; f < 3; ++f)
-      ues.push_back(d.add_ue(d.plan.near_ru(f, 1, 5.0), &du, 150.0, 15.0));
-  }
-
-  /// Mixed fault cocktail, all streams derived from one seed.
-  void add_chaos(std::uint64_t seed) {
-    FaultPlan ul0;  // floor 0 uplink: light i.i.d. loss + jitter
-    ul0.loss = 0.01;
-    ul0.jitter_ns = 20000;
-    ul0.seed = seed ^ 0xa1;
-    FaultPlan dl0;  // floor 0 downlink: fixed extra latency
-    dl0.delay_ns = 10000;
-    dl0.seed = seed ^ 0xa2;
-    d.add_fault(*rus[0].port, ul0, dl0);
-
-    FaultPlan ul1;  // floor 1 uplink: bursty loss + reordering
-    ul1.ge_enter_bad = 0.004;
-    ul1.ge_exit_bad = 0.25;
-    ul1.ge_loss_bad = 0.5;
-    ul1.reorder = 0.01;
-    ul1.seed = seed ^ 0xb1;
-    FaultPlan dl1;  // floor 1 downlink: duplication + bit corruption
-    dl1.duplicate = 0.02;
-    dl1.corrupt = 0.01;
-    dl1.seed = seed ^ 0xb2;
-    d.add_fault(*rus[1].port, ul1, dl1);
-  }
-};
-
-/// Byte-exact fingerprint of a run: every runtime counter, every fault
-/// counter and every UE's cumulative air-interface bit count.
-std::string snapshot(Deployment& d, const std::vector<UeId>& ues) {
-  std::ostringstream os;
-  for (const auto& rt : d.runtimes)
-    for (const auto& [k, v] : rt->telemetry().counters())
-      os << k << "=" << v << "\n";
-  os << d.fault_dump();
-  for (UeId ue : ues)
-    os << "ue" << ue << " dl=" << d.air.dl_bits(ue)
-       << " ul=" << d.air.ul_bits(ue) << "\n";
-  return os.str();
-}
-
-std::string run_das_chaos(std::uint64_t seed, const exec::ExecPolicy& policy,
+/// The chaos soak stamped into `cells` city cells (cell i seeded
+/// seed + i) under a conductor with `workers` threads; returns the
+/// city fingerprint (every runtime counter, fault link, DU stat and UE
+/// result in every cell).
+std::string run_das_chaos(std::uint64_t seed, int cells, int workers,
                           int slots) {
-  ChaosDasRig rig(policy);
-  EXPECT_TRUE(rig.d.attach_all(600));
-  rig.add_chaos(seed);
-  rig.d.engine.run_slots(slots);
-  return snapshot(rig.d, rig.ues);
+  DasChaosCity c(cells, workers);
+  EXPECT_TRUE(c.city.attach_all(600));
+  for (std::size_t i = 0; i < c.cells.size(); ++i)
+    c.cells[i]->add_chaos(seed + i);
+  c.city.run_slots(slots);
+  return c.city.fingerprint();
 }
 
 TEST(ChaosDas, SoakSurvivesMixedFaults) {
-  ChaosDasRig rig;
+  DasChaosRig rig;
   ASSERT_TRUE(rig.d.attach_all(600));
   rig.add_chaos(0xdead5eed);
   const int slots = 2000;
@@ -116,28 +46,21 @@ TEST(ChaosDas, SoakSurvivesMixedFaults) {
             std::uint64_t(slots) * 32);
   // ...and the cell still carries traffic in both directions.
   rig.d.measure(200);
-  double dl = 0, ul = 0;
-  for (UeId ue : rig.ues) {
-    dl += rig.d.dl_mbps(ue);
-    ul += rig.d.ul_mbps(ue);
-  }
-  EXPECT_GT(dl, 10.0);
-  EXPECT_GT(ul, 1.0);
+  EXPECT_GT(rig.total_dl(), 10.0);
+  EXPECT_GT(rig.total_ul(), 1.0);
 }
 
 TEST(ChaosDas, SameSeedReplaysByteIdentical) {
-  const std::string a = run_das_chaos(42, exec::ExecPolicy::serial(), 600);
-  const std::string b = run_das_chaos(42, exec::ExecPolicy::serial(), 600);
+  const std::string a = run_das_chaos(42, 1, 0, 600);
+  const std::string b = run_das_chaos(42, 1, 0, 600);
   EXPECT_EQ(a, b);
-  const std::string c = run_das_chaos(43, exec::ExecPolicy::serial(), 600);
+  const std::string c = run_das_chaos(43, 1, 0, 600);
   EXPECT_NE(a, c);  // the seed is actually load-bearing
 }
 
 TEST(ChaosDas, ParallelMatchesSerial) {
-  const std::string serial =
-      run_das_chaos(42, exec::ExecPolicy::serial(), 600);
-  const std::string parallel =
-      run_das_chaos(42, exec::ExecPolicy::parallel(4), 600);
+  const std::string serial = run_das_chaos(42, 3, 0, 600);
+  const std::string parallel = run_das_chaos(42, 3, 3, 600);
   EXPECT_EQ(serial, parallel);
 }
 
@@ -149,12 +72,7 @@ TEST(ChaosDas, ParallelMatchesSerial) {
 /// Bursty-arrival cocktail: heavy jitter smears per-symbol streams so
 /// pumps see anything from 1-packet stragglers to multi-chunk pileups;
 /// reorder + duplication mix ports and break arrival monotonicity.
-std::string run_das_bursty(std::uint64_t seed, const exec::ExecPolicy& policy,
-                           int slots,
-                           MiddleboxRuntime::BurstHist* size_hist,
-                           MiddleboxRuntime::BurstHist* occ_hist) {
-  ChaosDasRig rig(policy);
-  EXPECT_TRUE(rig.d.attach_all(600));
+void add_bursty_faults(DasChaosRig& rig, std::uint64_t seed) {
   FaultPlan ul0;  // floor 0 uplink: strong jitter (straggler generator)
   ul0.jitter_ns = 120'000;
   ul0.seed = seed ^ 0xc1;
@@ -170,24 +88,39 @@ std::string run_das_bursty(std::uint64_t seed, const exec::ExecPolicy& policy,
   FaultPlan dl1;
   dl1.seed = seed ^ 0xd2;
   rig.d.add_fault(*rig.rus[1].port, ul1, dl1);
-  rig.d.engine.run_slots(slots);
-  if (size_hist) *size_hist = rig.rt->burst_size_hist();
-  if (occ_hist) *occ_hist = rig.rt->burst_occupancy_hist();
-  return snapshot(rig.d, rig.ues);
+}
+
+/// The bursty soak stamped into `cells` city cells (cell i seeded
+/// seed + i); returns the city fingerprint and cell 0's histograms.
+std::string run_das_bursty(std::uint64_t seed, int cells, int workers,
+                           int slots, MiddleboxRuntime::BurstHist* size_hist,
+                           MiddleboxRuntime::BurstHist* occ_hist) {
+  DasChaosCity c(cells, workers);
+  EXPECT_TRUE(c.city.attach_all(600));
+  for (std::size_t i = 0; i < c.cells.size(); ++i)
+    add_bursty_faults(*c.cells[i], seed + i);
+  c.city.run_slots(slots);
+  *size_hist = c.cells[0]->rt->burst_size_hist();
+  *occ_hist = c.cells[0]->rt->burst_occupancy_hist();
+  return c.city.fingerprint();
 }
 
 TEST(BurstDeterminism, BurstySoakSerialMatchesParallel4) {
-  // 2000-slot soak under the bursty cocktail: the serial and parallel(4)
-  // engines chunk pumps differently (direct vs barrier-deferred TX), yet
-  // every counter, fault stat and air-interface bit count must agree.
+  // 2000-slot soak under the bursty cocktail in four cells: the serial
+  // conductor and a 4-worker one run each cell's pumps on different
+  // threads, yet every counter, fault stat and air-interface bit count
+  // must agree.
   constexpr int kSlots = 2000;
-  MiddleboxRuntime::BurstHist size_s{}, occ_s{};
+  MiddleboxRuntime::BurstHist size_s{}, occ_s{}, size_p{}, occ_p{};
   const std::string serial =
-      run_das_bursty(7, exec::ExecPolicy::serial(), kSlots, &size_s, &occ_s);
+      run_das_bursty(7, 4, 0, kSlots, &size_s, &occ_s);
   const std::string parallel =
-      run_das_bursty(7, exec::ExecPolicy::parallel(4), kSlots, nullptr,
-                     nullptr);
+      run_das_bursty(7, 4, 4, kSlots, &size_p, &occ_p);
   EXPECT_EQ(serial, parallel);
+  // Each cell runs the serial engine under either conductor, so even
+  // the pump chunking matches.
+  EXPECT_EQ(size_s.bucket, size_p.bucket);
+  EXPECT_EQ(occ_s.bucket, occ_p.bucket);
 
   // The soak exercised the arrival shapes the burst pipeline
   // special-cases: small straggler drains (jitter/reorder releases) and
@@ -203,10 +136,8 @@ TEST(BurstDeterminism, BurstySoakSameSeedReplaysHistograms) {
   // Same seed + same mode replays the exact pump chunking, histograms
   // included (they are checkpointed state).
   MiddleboxRuntime::BurstHist sa{}, oa{}, sb{}, ob{};
-  const std::string a =
-      run_das_bursty(11, exec::ExecPolicy::serial(), 600, &sa, &oa);
-  const std::string b =
-      run_das_bursty(11, exec::ExecPolicy::serial(), 600, &sb, &ob);
+  const std::string a = run_das_bursty(11, 1, 0, 600, &sa, &oa);
+  const std::string b = run_das_bursty(11, 1, 0, 600, &sb, &ob);
   EXPECT_EQ(a, b);
   EXPECT_EQ(sa.bucket, sb.bucket);
   EXPECT_EQ(sa.count, sb.count);
@@ -221,13 +152,13 @@ TEST(ChaosDas, OnePercentUplinkLossKeepsThroughput) {
   // its lossless uplink throughput with zero combiner stalls.
   double base_ul = 0;
   {
-    ChaosDasRig rig;
+    DasChaosRig rig;
     ASSERT_TRUE(rig.d.attach_all(600));
     rig.d.measure(400);
-    for (UeId ue : rig.ues) base_ul += rig.d.ul_mbps(ue);
+    base_ul = rig.total_ul();
     ASSERT_GT(base_ul, 1.0);
   }
-  ChaosDasRig rig;
+  DasChaosRig rig;
   ASSERT_TRUE(rig.d.attach_all(600));
   for (auto& ru : rig.rus) {
     FaultPlan ul;
@@ -236,9 +167,7 @@ TEST(ChaosDas, OnePercentUplinkLossKeepsThroughput) {
     rig.d.add_fault(*ru.port, ul);
   }
   rig.d.measure(400);
-  double ul = 0;
-  for (UeId ue : rig.ues) ul += rig.d.ul_mbps(ue);
-  EXPECT_GT(ul, base_ul * 0.9);
+  EXPECT_GT(rig.total_ul(), base_ul * 0.9);
   EXPECT_GT(rig.rt->telemetry().counter("das_partial_merges"), 0u);
   EXPECT_EQ(rig.rt->telemetry().counter("das_combiner_stalls"), 0u);
 }

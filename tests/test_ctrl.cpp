@@ -3,60 +3,16 @@
 // and recovery under a delay-poisoned link, mixed-width combining after a
 // width actuation, and the controller-enabled chaos soak whose snapshot
 // (runtime counters + fault counters + controller state) must replay
-// bit-identically under serial and parallel execution.
+// bit-identically on a serial and a parallel city conductor.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/mgmt.h"
-#include "sim/deployment.h"
+#include "rigs.h"
 
 namespace rb {
 namespace {
 
 using Mode = ctrl::AdaptationController::LinkMode;
-
-CellConfig cell100() {
-  CellConfig c;
-  c.bandwidth = MHz(100);
-  c.max_layers = 4;
-  c.pci = 1;
-  return c;
-}
-
-/// DAS cell over three floors with one loaded UE per floor (the chaos-rig
-/// topology, here supervised by an adaptation controller).
-struct CtrlDasRig {
-  Deployment d;
-  Deployment::DuHandle du;
-  std::vector<Deployment::RuHandle> rus;
-  MiddleboxRuntime* rt = nullptr;
-  std::vector<UeId> ues;
-
-  explicit CtrlDasRig(const exec::ExecPolicy& policy = {}) {
-    d.engine.set_exec_policy(policy);
-    du = d.add_du(cell100(), srsran_profile(), 0);
-    std::vector<Deployment::RuHandle*> ptrs;
-    for (int f = 0; f < 3; ++f) {
-      RuSite site;
-      site.pos = d.plan.ru_position(f, 1);
-      site.n_antennas = 4;
-      site.bandwidth = MHz(100);
-      site.center_freq = du.du->config().cell.center_freq;
-      rus.push_back(d.add_ru(site, std::uint8_t(f), du.du->fh()));
-    }
-    for (auto& r : rus) ptrs.push_back(&r);
-    rt = &d.add_das(du, ptrs, DriverKind::Dpdk, 2);
-    for (int f = 0; f < 3; ++f)
-      ues.push_back(d.add_ue(d.plan.near_ru(f, 1, 5.0), &du, 150.0, 15.0));
-  }
-
-  double total_ul() {
-    double ul = 0;
-    for (UeId ue : ues) ul += d.ul_mbps(ue);
-    return ul;
-  }
-};
 
 // --- policy unit tests (synthetic counters, capturing actuator) --------
 
@@ -204,7 +160,7 @@ TEST(CtrlPolicy, QuietSlotsFreezeEwmasAndRefusalsDontCount) {
 // --- mgmt plumbing ------------------------------------------------------
 
 TEST(CtrlMgmt, VerbRoutesThroughEndpointAndForcesActions) {
-  CtrlDasRig rig;
+  DasChaosRig rig;
   ASSERT_TRUE(rig.d.attach_all(600));
   MgmtEndpoint mgmt(*rig.rt);
   EXPECT_EQ(mgmt.handle("ctrl status"), "no controller attached");
@@ -240,7 +196,7 @@ TEST(CtrlMgmt, VerbRoutesThroughEndpointAndForcesActions) {
 // --- end-to-end: DAS ejection and recovery ------------------------------
 
 TEST(CtrlDas, EjectsDelayPoisonedLinkThenReadmitsAfterHeal) {
-  CtrlDasRig rig;
+  DasChaosRig rig;
   ASSERT_TRUE(rig.d.attach_all(600));
 
   // Floor 0's uplink gets 60us of fixed extra delay: every combine that
@@ -276,7 +232,7 @@ TEST(CtrlDas, MixedWidthMembersStillCombine) {
   // After a width actuation one member emits width-7 U-plane while the
   // others stay at 9: the combiner must decode each copy at its own
   // udCompHdr width and keep merging without failures.
-  CtrlDasRig rig;
+  DasChaosRig rig;
   ASSERT_TRUE(rig.d.attach_all(600));
   ASSERT_EQ(rig.rus[0].ru->ul_iq_width(), 9);
   ASSERT_TRUE(rig.rus[0].ru->set_ul_iq_width(7));
@@ -307,68 +263,34 @@ TEST(CtrlDas, RadisysProfileRefusesWidthChange) {
 
 // --- chaos soak with the controller in the loop (ISSUE 6 satellite) -----
 
-/// Fingerprint including the controller's full state: EWMAs, modes,
-/// streaks and the slot-stamped action log must all replay identically.
-std::string ctrl_snapshot(Deployment& d, const std::vector<UeId>& ues) {
-  std::ostringstream os;
-  for (const auto& rt : d.runtimes)
-    for (const auto& [k, v] : rt->telemetry().counters())
-      os << k << "=" << v << "\n";
-  os << d.fault_dump();
-  os << d.ctrl_dump();
-  for (UeId ue : ues)
-    os << "ue" << ue << " dl=" << d.air.dl_bits(ue)
-       << " ul=" << d.air.ul_bits(ue) << "\n";
-  return os.str();
-}
-
-std::string run_ctrl_chaos(std::uint64_t seed, const exec::ExecPolicy& policy,
+/// The chaos cocktail, controller-supervised: floor 0 takes light loss
+/// plus jitter that straddles the delay thresholds, floor 1 takes
+/// Gilbert-Elliott burst loss deep enough to trip the ladder. Stamped
+/// into `cells` city cells (cell i seeded seed + i); the city fingerprint
+/// includes each controller's full state (EWMAs, modes, streaks and the
+/// slot-stamped action log), which must all replay identically.
+std::string run_ctrl_chaos(std::uint64_t seed, int cells, int workers,
                            int slots) {
-  CtrlDasRig rig(policy);
-  EXPECT_TRUE(rig.d.attach_all(600));
-
-  // The chaos-rig fault cocktail, controller-supervised: floor 0 takes
-  // light loss plus jitter that straddles the delay thresholds, floor 1
-  // takes Gilbert-Elliott burst loss deep enough to trip the ladder.
-  FaultPlan ul0;
-  ul0.loss = 0.01;
-  ul0.jitter_ns = 20'000;
-  ul0.seed = seed ^ 0xa1;
-  FaultPlan dl0;
-  dl0.delay_ns = 10'000;
-  dl0.seed = seed ^ 0xa2;
-  auto& link0 = rig.d.add_fault(*rig.rus[0].port, ul0, dl0);
-
-  FaultPlan ul1;
-  ul1.ge_enter_bad = 0.004;
-  ul1.ge_exit_bad = 0.25;
-  ul1.ge_loss_bad = 0.5;
-  ul1.reorder = 0.01;
-  ul1.seed = seed ^ 0xb1;
-  FaultPlan dl1;
-  dl1.duplicate = 0.02;
-  dl1.corrupt = 0.01;
-  dl1.seed = seed ^ 0xb2;
-  auto& link1 = rig.d.add_fault(*rig.rus[1].port, ul1, dl1);
-
-  auto& c = rig.d.add_controller();
-  rig.d.ctrl_watch(c, link0, *rig.rt, rig.rus[0]);
-  rig.d.ctrl_watch(c, link1, *rig.rt, rig.rus[1]);
-  rig.d.engine.run_slots(slots);
-  EXPECT_EQ(rig.rt->telemetry().counter("das_combiner_stalls"), 0u);
-  return ctrl_snapshot(rig.d, rig.ues);
+  DasChaosCity c(cells, workers);
+  EXPECT_TRUE(c.city.attach_all(600));
+  for (std::size_t i = 0; i < c.cells.size(); ++i) {
+    DasChaosRig& rig = *c.cells[i];
+    const auto links = rig.add_chaos(seed + i);
+    rig.watch(rig.d.add_controller(), links);
+  }
+  c.city.run_slots(slots);
+  for (const auto& rig : c.cells)
+    EXPECT_EQ(rig->rt->telemetry().counter("das_combiner_stalls"), 0u);
+  return c.city.fingerprint();
 }
 
 TEST(CtrlChaos, SoakSnapshotIdenticalSerialVsParallel) {
-  const std::string serial =
-      run_ctrl_chaos(42, exec::ExecPolicy::serial(), 2000);
-  const std::string parallel =
-      run_ctrl_chaos(42, exec::ExecPolicy::parallel(4), 2000);
+  const std::string serial = run_ctrl_chaos(42, 2, 0, 2000);
+  const std::string parallel = run_ctrl_chaos(42, 2, 2, 2000);
   EXPECT_EQ(serial, parallel);
   // The soak actually exercised the controller, not just the plumbing.
   EXPECT_NE(serial.find("decision_slots="), std::string::npos);
-  const std::string other =
-      run_ctrl_chaos(43, exec::ExecPolicy::serial(), 2000);
+  const std::string other = run_ctrl_chaos(43, 2, 0, 2000);
   EXPECT_NE(serial, other);  // the seed is load-bearing
 }
 

@@ -1,6 +1,6 @@
 // Observability subsystem: trace ring, histograms, slot budgets, the
-// serial-vs-parallel trace equivalence guarantee, exporters, and the
-// telemetry interning satellites.
+// serial-vs-parallel conductor trace equivalence guarantee, exporters,
+// and the telemetry interning satellites.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,7 @@
 #include "obs/histogram.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
-#include "sim/deployment.h"
+#include "rigs.h"
 
 namespace rb {
 namespace {
@@ -255,63 +255,9 @@ struct ObsRun {
   std::uint64_t dropped = 0;
 };
 
-/// The exec-determinism scenario (one 100 MHz cell over five DAS RUs plus
-/// an independent direct-wired second cell), run with collection on;
-/// optionally a delayed + lossy fronthaul link to RU 0.
-ObsRun run_traced(const exec::ExecPolicy& policy, int slots,
-                  bool with_fault = false) {
-  auto& col = obs::Collector::instance();
-  Deployment d;
-  CellConfig c;
-  c.bandwidth = MHz(100);
-  c.max_layers = 4;
-  c.pci = 1;
-  auto du = d.add_du(c, srsran_profile(), 0);
-  std::vector<Deployment::RuHandle> rus;
-  std::vector<Deployment::RuHandle*> ptrs;
-  for (int f = 0; f < 5; ++f) {
-    RuSite site;
-    site.pos = d.plan.ru_position(f, 1);
-    site.n_antennas = 4;
-    site.bandwidth = MHz(100);
-    site.center_freq = c.center_freq;
-    rus.push_back(d.add_ru(site, std::uint8_t(f), du.du->fh()));
-  }
-  for (auto& r : rus) ptrs.push_back(&r);
-  d.add_das(du, ptrs, DriverKind::Dpdk, 2);
-
-  CellConfig c2;
-  c2.bandwidth = MHz(100);
-  c2.max_layers = 4;
-  c2.pci = 2;
-  c2.center_freq = c.center_freq + MHz(120);
-  auto du2 = d.add_du(c2, srsran_profile(), 1);
-  RuSite s2;
-  s2.pos = d.plan.ru_position(0, 3);
-  s2.n_antennas = 4;
-  s2.bandwidth = MHz(100);
-  s2.center_freq = c2.center_freq;
-  auto ru2 = d.add_ru(s2, 5, du2.du->fh());
-  d.connect_direct(du2, ru2);
-
-  if (with_fault) {
-    FaultPlan plan;
-    plan.delay_ns = 4000;
-    plan.jitter_ns = 2000;
-    plan.loss = 0.02;
-    plan.seed = 7;
-    d.add_fault(*rus[0].port, plan, plan, "obslink");
-  }
-
-  for (int f = 0; f < 5; ++f)
-    d.add_ue(d.plan.near_ru(f, 1, 4.0), &du, 200.0, 20.0);
-  d.add_ue(d.plan.near_ru(0, 3, 4.0), &du2, 200.0, 20.0, 2);
-
-  d.engine.set_exec_policy(policy);
-  col.start();  // fresh dataset per run; interned ids persist
-  d.engine.run_slots(slots);
-  col.stop();
-
+/// What the collector holds after a run.
+ObsRun collected() {
+  const auto& col = obs::Collector::instance();
   ObsRun r;
   r.budgets = col.budgets();
   r.hists = col.hists();
@@ -320,26 +266,53 @@ ObsRun run_traced(const exec::ExecPolicy& policy, int slots,
   return r;
 }
 
+/// The exec-determinism scenario (one 100 MHz cell over five DAS RUs plus
+/// an independent direct-wired second cell) in one deployment, traced by
+/// its own engine; optionally a delayed + lossy fronthaul link to RU 0.
+ObsRun run_traced(int slots, bool with_fault = false) {
+  auto& col = obs::Collector::instance();
+  Deployment d;
+  add_das5_cell(d, with_fault);
+  add_direct_cell(d);
+  col.start();  // fresh dataset per run; interned ids persist
+  d.engine.run_slots(slots);
+  col.stop();
+  return collected();
+}
+
+/// The same two cells as city shards, traced by a conductor with
+/// `workers` threads.
+ObsRun run_traced_city(int workers, int slots) {
+  auto& col = obs::Collector::instance();
+  city::City c(workers);
+  add_das5_cell(*c.add_cell("c0").dep);
+  add_direct_cell(*c.add_cell("c1").dep);
+  col.start();
+  c.run_slots(slots);
+  col.stop();
+  return collected();
+}
+
 TEST(ObsE2E, SerialAndParallelProduceIdenticalTracesAndBudgets) {
   constexpr int kSlots = 60;
-  const ObsRun serial = run_traced(exec::ExecPolicy::serial(), kSlots);
-  const ObsRun par4 = run_traced(exec::ExecPolicy::parallel(4), kSlots);
+  const ObsRun serial = run_traced_city(0, kSlots);
+  const ObsRun par = run_traced_city(2, kSlots);
 
   ASSERT_EQ(serial.budgets.size(), std::size_t(kSlots));
-  ASSERT_EQ(par4.budgets.size(), std::size_t(kSlots));
+  ASSERT_EQ(par.budgets.size(), std::size_t(kSlots));
   EXPECT_EQ(serial.dropped, 0u);
-  EXPECT_EQ(par4.dropped, 0u);
+  EXPECT_EQ(par.dropped, 0u);
 
   // Per-slot budgets must match slot for slot...
   for (int s = 0; s < kSlots; ++s) {
     SCOPED_TRACE(s);
-    EXPECT_EQ(serial.budgets[std::size_t(s)], par4.budgets[std::size_t(s)]);
+    EXPECT_EQ(serial.budgets[std::size_t(s)], par.budgets[std::size_t(s)]);
   }
   // ...as must the merged histograms and the full retained event stream.
-  EXPECT_EQ(serial.hists, par4.hists);
-  ASSERT_EQ(serial.events.size(), par4.events.size());
+  EXPECT_EQ(serial.hists, par.hists);
+  ASSERT_EQ(serial.events.size(), par.events.size());
   EXPECT_TRUE(std::equal(serial.events.begin(), serial.events.end(),
-                         par4.events.begin()));
+                         par.events.begin()));
 
   // And the run actually exercised the stack: handler time was recorded.
   std::uint64_t busy = 0;
@@ -348,7 +321,7 @@ TEST(ObsE2E, SerialAndParallelProduceIdenticalTracesAndBudgets) {
 }
 
 TEST(ObsE2E, BudgetAttributionIsConsistent) {
-  const ObsRun r = run_traced(exec::ExecPolicy::serial(), 40);
+  const ObsRun r = run_traced(40);
   const auto& col = obs::Collector::instance();
   bool saw_actions = false;
   for (const auto& b : r.budgets) {
@@ -378,7 +351,7 @@ TEST(ObsE2E, BudgetAttributionIsConsistent) {
 }
 
 TEST(ObsE2E, RetainedEventsAreSortedPerSlotBatch) {
-  const ObsRun r = run_traced(exec::ExecPolicy::parallel(2), 30);
+  const ObsRun r = run_traced_city(2, 30);
   ASSERT_FALSE(r.budgets.empty());
   std::uint64_t checked = 0;
   for (const auto& b : r.budgets) {
@@ -395,7 +368,7 @@ TEST(ObsE2E, RetainedEventsAreSortedPerSlotBatch) {
 }
 
 TEST(ObsE2E, ChromeTraceExportIsValidAndAnnotated) {
-  run_traced(exec::ExecPolicy::serial(), 100, /*with_fault=*/true);
+  run_traced(100, /*with_fault=*/true);
   auto& col = obs::Collector::instance();
 
   const std::string json = obs::chrome_trace_json(col);
@@ -469,7 +442,7 @@ struct NullApp final : MiddleboxApp {
 };
 
 TEST(ObsMgmt, ExportersReachableThroughMgmtVerbs) {
-  run_traced(exec::ExecPolicy::serial(), 20);
+  run_traced(20);
 
   NullApp app;
   MiddleboxRuntime rt(MiddleboxRuntime::Config{}, app);
@@ -548,9 +521,8 @@ TEST(TelemetrySymmetry, OutOfRangeIdsAreCheckedOnBothPaths) {
 
 TEST(TelemetryThreading, PublishOffWorkerThreadIsAllowed) {
   // The coordinator (this thread) may publish/subscribe freely; the
-  // worker-thread assert is exercised implicitly by the parallel e2e
-  // runs above (apps publish from on_slot at the barrier, never from
-  // pool workers).
+  // worker-thread assert is exercised implicitly by the parallel
+  // conductor runs above (each cell job owns its cell's telemetry).
   Telemetry t;
   int got = 0;
   t.subscribe([&](const TelemetrySample&) { ++got; });

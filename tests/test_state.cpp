@@ -1,14 +1,15 @@
 // Hitless operations (ISSUE 7): versioned serialization round-trips,
 // corruption/truncation rejection with typed errors, whole-deployment
-// checkpoint/restore determinism under chaos faults (serial and
-// parallel), and zero-loss live reconfiguration at the slot barrier.
+// checkpoint/restore determinism under chaos faults (single engine and
+// serial/parallel city conductors), and zero-loss live reconfiguration
+// at the slot barrier.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "sim/deployment.h"
+#include "rigs.h"
 #include "sim/hitless.h"
 #include "state/serialize.h"
 
@@ -181,85 +182,20 @@ TEST(StateSerialize, NotAStateBlobIsBadMagic) {
 
 // --- whole-deployment checkpoint/restore ------------------------------
 
-CellConfig cell100() {
-  CellConfig c;
-  c.bandwidth = MHz(100);
-  c.max_layers = 4;
-  c.pci = 1;
-  return c;
-}
-
-/// DAS cell over three floors with chaos faults - the same shape as the
-/// chaos suite, so checkpoint/restore is exercised against every kind of
+/// Determinism fingerprint: every runtime counter, fault counter,
+/// controller state and UE cumulative bit count. The rig is the chaos
+/// suite's, so checkpoint/restore is exercised against every kind of
 /// cross-barrier state (rx queues, held packets, cache entries, partial
 /// merges, RNG streams, EWMAs).
-struct StateRig {
-  Deployment d;
-  Deployment::DuHandle du;
-  std::vector<Deployment::RuHandle> rus;
-  MiddleboxRuntime* rt = nullptr;
-  ctrl::AdaptationController* ctrl = nullptr;
-  std::vector<UeId> ues;
-
-  explicit StateRig(const exec::ExecPolicy& policy = {},
-                    bool with_ctrl = false) {
-    d.engine.set_exec_policy(policy);
-    du = d.add_du(cell100(), srsran_profile(), 0);
-    std::vector<Deployment::RuHandle*> ptrs;
-    for (int f = 0; f < 3; ++f) {
-      RuSite site;
-      site.pos = d.plan.ru_position(f, 1);
-      site.n_antennas = 4;
-      site.bandwidth = MHz(100);
-      site.center_freq = du.du->config().cell.center_freq;
-      rus.push_back(d.add_ru(site, std::uint8_t(f), du.du->fh()));
-    }
-    for (auto& r : rus) ptrs.push_back(&r);
-    rt = &d.add_das(du, ptrs, DriverKind::Dpdk, 2);
-    for (int f = 0; f < 3; ++f)
-      ues.push_back(d.add_ue(d.plan.near_ru(f, 1, 5.0), &du, 150.0, 15.0));
-    if (with_ctrl) ctrl = &d.add_controller();
-  }
-
-  void add_chaos(std::uint64_t seed, bool watch = false) {
-    FaultPlan ul0;
-    ul0.loss = 0.01;
-    ul0.jitter_ns = 20000;
-    ul0.seed = seed ^ 0xa1;
-    FaultPlan dl0;
-    dl0.delay_ns = 10000;
-    dl0.seed = seed ^ 0xa2;
-    FaultyLink& l0 = d.add_fault(*rus[0].port, ul0, dl0);
-
-    FaultPlan ul1;
-    ul1.ge_enter_bad = 0.004;
-    ul1.ge_exit_bad = 0.25;
-    ul1.ge_loss_bad = 0.5;
-    ul1.reorder = 0.01;
-    ul1.seed = seed ^ 0xb1;
-    FaultPlan dl1;
-    dl1.duplicate = 0.02;
-    dl1.corrupt = 0.01;
-    dl1.seed = seed ^ 0xb2;
-    FaultyLink& l1 = d.add_fault(*rus[1].port, ul1, dl1);
-
-    if (watch && ctrl) {
-      d.ctrl_watch(*ctrl, l0, *rt, rus[0]);
-      d.ctrl_watch(*ctrl, l1, *rt, rus[1]);
-    }
-  }
-};
-
-/// Determinism fingerprint: every runtime counter, fault counter,
-/// controller state and UE cumulative bit count.
-std::string snapshot(Deployment& d, const std::vector<UeId>& ues) {
+std::string snapshot(const DasChaosRig& rig) {
+  const Deployment& d = rig.d;
   std::ostringstream os;
   for (const auto& rt : d.runtimes)
     for (const auto& [k, v] : rt->telemetry().counters())
       os << k << "=" << v << "\n";
   os << d.fault_dump();
   os << d.ctrl_dump();
-  for (UeId ue : ues)
+  for (UeId ue : rig.ues)
     os << "ue" << ue << " dl=" << d.air.dl_bits(ue)
        << " ul=" << d.air.ul_bits(ue) << "\n";
   return os.str();
@@ -267,14 +203,14 @@ std::string snapshot(Deployment& d, const std::vector<UeId>& ues) {
 
 TEST(Checkpoint, RoundTripReserializeIsByteIdentical) {
   for (std::uint64_t seed : {1ull, 0xfeedull, 0xc0ffeeull}) {
-    StateRig a;
+    DasChaosRig a;
     ASSERT_TRUE(a.d.attach_all(600));
     a.add_chaos(seed);
     a.d.engine.run_slots(237);  // odd count: land mid burst/flap phases
     const auto blob = checkpoint(a.d);
     ASSERT_FALSE(blob.empty());
 
-    StateRig b;
+    DasChaosRig b;
     b.add_chaos(seed);
     const RestoreResult res = restore(b.d, blob);
     ASSERT_TRUE(res.ok()) << res.detail << ": "
@@ -284,64 +220,136 @@ TEST(Checkpoint, RoundTripReserializeIsByteIdentical) {
   }
 }
 
+/// Re-encode `blob` the way older writers laid out the air section: its
+/// last field, the pending-PRACH list, claims `n` entries of which
+/// `written` (-1 each, as at every slot barrier) are present.
+std::vector<std::uint8_t> with_pending_prach(
+    const std::vector<std::uint8_t>& blob, std::uint32_t n,
+    std::uint32_t written) {
+  const auto le = [&](std::size_t at, int bytes) {
+    std::uint64_t v = 0;
+    for (int i = bytes - 1; i >= 0; --i)
+      v = v << 8 | blob[at + std::size_t(i)];
+    return v;
+  };
+  StateWriter w;
+  for (std::size_t at = 12; at < blob.size();) {  // header, then sections
+    const auto id = std::uint32_t(le(at, 4));
+    const std::size_t len = std::size_t(le(at + 8, 8));
+    const std::span<const std::uint8_t> payload(blob.data() + at + 20, len);
+    w.begin_section(id, std::uint32_t(le(at + 4, 4)));
+    if (id == state::kSecAir) {
+      w.bytes(payload.first(len - 4));  // drop the empty list's count
+      w.u32(n);
+      for (std::uint32_t i = 0; i < written; ++i) w.i64(-1);
+    } else {
+      w.bytes(payload);
+    }
+    w.end_section();
+    at += 20 + len;
+  }
+  return w.finish();
+}
+
+TEST(Checkpoint, OlderBlobWithPendingPrachListRestores) {
+  DasChaosRig a;
+  ASSERT_TRUE(a.d.attach_all(600));
+  a.add_chaos(0x01d);
+  a.d.engine.run_slots(100);
+  const auto blob = checkpoint(a.d);
+  const auto old = with_pending_prach(blob, 1, 1);
+  ASSERT_NE(old, blob);
+
+  // The list is read and discarded: the next checkpoint is the current
+  // format again and round-trips byte-identically.
+  DasChaosRig b;
+  b.add_chaos(0x01d);
+  const RestoreResult res = restore(b.d, old);
+  ASSERT_TRUE(res.ok()) << res.detail;
+  const auto again = checkpoint(b.d);
+  EXPECT_EQ(again, blob);
+  DasChaosRig c;
+  c.add_chaos(0x01d);
+  ASSERT_TRUE(restore(c.d, again).ok());
+  EXPECT_EQ(checkpoint(c.d), again);
+
+  // A list that claims more entries than its section holds is rejected
+  // typed, not read past.
+  DasChaosRig t;
+  t.add_chaos(0x01d);
+  const RestoreResult cut = restore(t.d, with_pending_prach(blob, 2, 1));
+  EXPECT_FALSE(cut.ok());
+  EXPECT_EQ(cut.error, StateError::kBadValue);
+}
+
 TEST(Checkpoint, RestoredRunMatchesUninterruptedSerial) {
   const int kN = 300;
-  StateRig a;
+  DasChaosRig a;
   ASSERT_TRUE(a.d.attach_all(600));
   a.add_chaos(0xdead5eed);
   a.d.engine.run_slots(kN);
   const auto blob = checkpoint(a.d);
   a.d.engine.run_slots(kN);
-  const std::string uninterrupted = snapshot(a.d, a.ues);
+  const std::string uninterrupted = snapshot(a);
 
-  StateRig b;
+  DasChaosRig b;
   b.add_chaos(0xdead5eed);
   const RestoreResult res = restore(b.d, blob);
   ASSERT_TRUE(res.ok()) << res.detail;
   EXPECT_EQ(b.d.engine.current_slot(), a.d.engine.current_slot() - kN);
   b.d.engine.run_slots(kN);
-  EXPECT_EQ(snapshot(b.d, b.ues), uninterrupted);
+  EXPECT_EQ(snapshot(b), uninterrupted);
 }
 
 TEST(Checkpoint, RestoredRunMatchesUninterruptedParallel4) {
+  // Three chaos cells on a 4-worker conductor, checkpointed mid-run. A
+  // parallel city and a serial city restored from that blob must both
+  // finish bit-identical to the uninterrupted parallel run: the worker
+  // count is not state.
   const int kN = 300;
-  StateRig a(exec::ExecPolicy::parallel(4));
-  ASSERT_TRUE(a.d.attach_all(600));
-  a.add_chaos(0xdead5eed);
-  a.d.engine.run_slots(kN);
-  const auto blob = checkpoint(a.d);
-  a.d.engine.run_slots(kN);
-  const std::string uninterrupted = snapshot(a.d, a.ues);
+  constexpr std::uint64_t kSeed = 0xdead5eed;
+  DasChaosCity a(3, 4);
+  ASSERT_TRUE(a.city.attach_all(600));
+  for (std::size_t i = 0; i < a.cells.size(); ++i)
+    a.cells[i]->add_chaos(kSeed + i);
+  a.city.run_slots(kN);
+  const auto blob = a.city.checkpoint();
+  a.city.run_slots(kN);
+  const std::string uninterrupted = a.city.fingerprint();
 
-  // Restore into a parallel(4) rig - and the blob itself must match the
-  // serial checkpoint (execution policy is not state).
-  StateRig b(exec::ExecPolicy::parallel(4));
-  b.add_chaos(0xdead5eed);
-  const RestoreResult res = restore(b.d, blob);
-  ASSERT_TRUE(res.ok()) << res.detail;
-  b.d.engine.run_slots(kN);
-  EXPECT_EQ(snapshot(b.d, b.ues), uninterrupted);
+  for (int workers : {4, 0}) {
+    SCOPED_TRACE(workers);
+    DasChaosCity b(3, workers);
+    for (std::size_t i = 0; i < b.cells.size(); ++i)
+      b.cells[i]->add_chaos(kSeed + i);
+    const RestoreResult res = b.city.restore(blob);
+    ASSERT_TRUE(res.ok()) << res.detail;
+    b.city.run_slots(kN);
+    EXPECT_EQ(b.city.fingerprint(), uninterrupted);
+  }
 }
 
 TEST(Checkpoint, ControllerStateSurvivesRestore) {
-  StateRig a({}, /*with_ctrl=*/true);
+  DasChaosRig a;
+  auto& ca = a.d.add_controller();
   ASSERT_TRUE(a.d.attach_all(600));
-  a.add_chaos(0xabc, /*watch=*/true);
+  a.watch(ca, a.add_chaos(0xabc));
   a.d.engine.run_slots(400);
   const auto blob = checkpoint(a.d);
   a.d.engine.run_slots(200);
-  const std::string uninterrupted = snapshot(a.d, a.ues);
+  const std::string uninterrupted = snapshot(a);
 
-  StateRig b({}, /*with_ctrl=*/true);
-  b.add_chaos(0xabc, /*watch=*/true);
+  DasChaosRig b;
+  auto& cb = b.d.add_controller();
+  b.watch(cb, b.add_chaos(0xabc));
   const RestoreResult res = restore(b.d, blob);
   ASSERT_TRUE(res.ok()) << res.detail;
   b.d.engine.run_slots(200);
-  EXPECT_EQ(snapshot(b.d, b.ues), uninterrupted);
+  EXPECT_EQ(snapshot(b), uninterrupted);
 }
 
 TEST(Checkpoint, CorruptOrTruncatedBlobsAreRejectedTyped) {
-  StateRig a;
+  DasChaosRig a;
   ASSERT_TRUE(a.d.attach_all(600));
   a.add_chaos(7);
   a.d.engine.run_slots(100);
@@ -351,7 +359,7 @@ TEST(Checkpoint, CorruptOrTruncatedBlobsAreRejectedTyped) {
   for (std::size_t len : {std::size_t(0), std::size_t(7), std::size_t(11),
                           blob.size() / 3, blob.size() / 2,
                           blob.size() - 1}) {
-    StateRig b;
+    DasChaosRig b;
     b.add_chaos(7);
     std::vector<std::uint8_t> cut(blob.begin(), blob.begin() + long(len));
     const RestoreResult res = restore(b.d, cut);
@@ -362,7 +370,7 @@ TEST(Checkpoint, CorruptOrTruncatedBlobsAreRejectedTyped) {
   // catches payload damage; header damage is caught structurally).
   for (std::size_t i = 0; i < blob.size();
        i += std::max<std::size_t>(1, blob.size() / 97)) {
-    StateRig b;
+    DasChaosRig b;
     b.add_chaos(7);
     std::vector<std::uint8_t> bad = blob;
     bad[i] ^= 0x20;
@@ -372,7 +380,7 @@ TEST(Checkpoint, CorruptOrTruncatedBlobsAreRejectedTyped) {
   // Shape mismatch: restoring a 3-RU blob into a 3-RU rig with an extra
   // fault link fails with kMismatch before touching components.
   {
-    StateRig b;
+    DasChaosRig b;
     b.add_chaos(7);
     FaultPlan extra;
     extra.loss = 0.5;
@@ -387,17 +395,17 @@ TEST(Checkpoint, CorruptOrTruncatedBlobsAreRejectedTyped) {
 
 TEST(Reconfig, NetNoOpBatchesAreByteIdenticalToNoReconfig) {
   // Baseline: chaos soak, no reconfig manager at all.
-  StateRig a;
+  DasChaosRig a;
   ASSERT_TRUE(a.d.attach_all(600));
   a.add_chaos(0x5eed);
   a.d.engine.run_slots(600);
-  const std::string baseline = snapshot(a.d, a.ues);
+  const std::string baseline = snapshot(a);
 
   // Same soak with 60 reconfig batches, each an eject+readmit pair that
   // nets out to no change. The barrier apply itself must not perturb a
   // single packet: zero loss attributable to reconfig, proven by
   // byte-identical telemetry/fault/UE fingerprints.
-  StateRig b;
+  DasChaosRig b;
   ASSERT_TRUE(b.d.attach_all(600));
   b.add_chaos(0x5eed);
   ReconfigManager mgr(b.d);
@@ -416,11 +424,11 @@ TEST(Reconfig, NetNoOpBatchesAreByteIdenticalToNoReconfig) {
   EXPECT_EQ(mgr.batches(), 60u);
   EXPECT_EQ(mgr.applied(), 120u);
   EXPECT_EQ(mgr.rejected(), 0u);
-  EXPECT_EQ(snapshot(b.d, b.ues), baseline);
+  EXPECT_EQ(snapshot(b), baseline);
 }
 
 TEST(Reconfig, RequestDiffsDesiredAgainstLiveState) {
-  StateRig rig;
+  DasChaosRig rig;
   ASSERT_TRUE(rig.d.attach_all(600));
   ReconfigManager mgr(rig.d);
 
@@ -448,7 +456,7 @@ TEST(Reconfig, RequestDiffsDesiredAgainstLiveState) {
 }
 
 TEST(Reconfig, MembershipChurnUnderChaosKeepsTrafficFlowing) {
-  StateRig rig;
+  DasChaosRig rig;
   ASSERT_TRUE(rig.d.attach_all(600));
   rig.add_chaos(0xc4a05);
   ReconfigManager mgr(rig.d);
@@ -479,39 +487,35 @@ TEST(Reconfig, MembershipChurnUnderChaosKeepsTrafficFlowing) {
   for (const auto& p : rig.d.ports) EXPECT_EQ(p->stats().rx_dropped, 0u);
   // Traffic still flows both ways after 50 reshapes.
   rig.d.measure(200);
-  double dl = 0, ul = 0;
-  for (UeId ue : rig.ues) {
-    dl += rig.d.dl_mbps(ue);
-    ul += rig.d.ul_mbps(ue);
-  }
-  EXPECT_GT(dl, 10.0);
-  EXPECT_GT(ul, 1.0);
+  EXPECT_GT(rig.total_dl(), 10.0);
+  EXPECT_GT(rig.total_ul(), 1.0);
 }
 
 TEST(Reconfig, CtrlRetuneAndRuWidthApplyAtBarrier) {
-  StateRig rig({}, /*with_ctrl=*/true);
+  DasChaosRig rig;
+  ctrl::AdaptationController& c = rig.d.add_controller();
   ASSERT_TRUE(rig.d.attach_all(600));
   ReconfigManager mgr(rig.d);
 
   DesiredConfig want;
-  ctrl::CtrlConfig tuned = rig.ctrl->config();
+  ctrl::CtrlConfig tuned = c.config();
   tuned.loss_eject = 0.5;
   tuned.hold_slots = 16;
   want.ctrl_tunings.push_back({0, tuned});
   want.ru_widths.push_back({0, 7});
   EXPECT_EQ(mgr.request(want), 2u);
   rig.d.engine.run_slots(1);
-  EXPECT_EQ(rig.ctrl->config().loss_eject, 0.5);
-  EXPECT_EQ(rig.ctrl->config().hold_slots, 16);
+  EXPECT_EQ(c.config().loss_eject, 0.5);
+  EXPECT_EQ(c.config().hold_slots, 16);
   EXPECT_EQ(rig.rus[0].ru->ul_iq_width(), 7);
   // Structural identity is preserved across a retune.
-  EXPECT_EQ(rig.ctrl->config().name, "ctrl0");
+  EXPECT_EQ(c.config().name, "ctrl0");
   // Re-request: converged.
   EXPECT_EQ(mgr.request(want), 0u);
 }
 
 TEST(Reconfig, MgmtVerbReportsStatusAndLog) {
-  StateRig rig;
+  DasChaosRig rig;
   ASSERT_TRUE(rig.d.attach_all(600));
   ReconfigManager mgr(rig.d);
   MgmtEndpoint mgmt(*rig.d.runtimes[0]);
