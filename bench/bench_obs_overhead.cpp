@@ -4,8 +4,8 @@
 // packet, action, combine, tx, link, slot).
 //
 // Modes: obs disabled (the baseline every production run pays: one
-// relaxed atomic load per instrumentation site) vs obs enabled (ring
-// pushes + per-slot barrier merge + budget/histogram folding). The
+// relaxed atomic load per instrumentation site) vs obs enabled (buffer
+// appends + per-slot barrier merge + budget/histogram folding). The
 // enabled mode must stay under 5% overhead; CI gates on the exit code.
 // A 100-slot Perfetto/Chrome trace of the chain is written as a side
 // product (first argv, default BENCH_obs_trace.json).

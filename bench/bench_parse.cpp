@@ -3,7 +3,8 @@
 // 1. GATED: batched header parse over a cache-cold packet arena, visited
 //    in a pseudo-random (permuted) order the hardware prefetcher cannot
 //    follow. Burst size 1 is the pre-batching idiom -- one packet per
-//    arrival, parsed with the allocating parse_frame(), no lookahead.
+//    arrival, parsed with an allocating parse (parse_frame_alloc below: a
+//    fresh FhFrame per frame), no lookahead.
 //    Burst size B >= 2 is the pipeline's parse pass: a reused SoA frame
 //    table (parse_frame_into, capacity kept across packets) with software
 //    prefetch of the next packet's header lines while the current one
@@ -19,6 +20,7 @@
 // reused) and writes BENCH_parse.json into the working directory.
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,16 @@ using Clock = std::chrono::steady_clock;
 
 double secs_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// The per-arrival parse the burst pipeline replaced: a fresh FhFrame (and
+/// section vector) allocated and freed for every frame. Kept here as the
+/// baseline of the burst gate and of the alloc-vs-reuse microcost.
+std::optional<FhFrame> parse_frame_alloc(std::span<const std::uint8_t> frame,
+                                         const FhContext& ctx) {
+  FhFrame f;
+  if (!parse_frame_into(frame, ctx, f)) return std::nullopt;
+  return f;
 }
 
 struct Frames {
@@ -132,7 +144,7 @@ double parse_packets_per_s(const Arena& a, const FhContext& ctx,
   for (std::size_t pass = 0; pass < passes; ++pass) {
     for (std::size_t base = 0; base + burst <= Arena::kSlots; base += burst) {
       if (burst == 1) {
-        auto f = parse_frame(a.frame(a.order[base]), ctx);
+        auto f = parse_frame_alloc(a.frame(a.order[base]), ctx);
         if (f) sink += f->is_uplane();
       } else {
         for (std::size_t i = 0; i < burst; ++i) {
@@ -211,7 +223,7 @@ double pump_packets_per_s(const Frames& f, std::size_t burst,
   return dt > 0 ? double(pumps * burst) / dt : 0.0;
 }
 
-/// Parse-stage microcost (ns/frame): alloc-per-call parse_frame() vs the
+/// Parse-stage microcost (ns/frame): alloc-per-call parse_frame_alloc() vs the
 /// reused-capacity parse_frame_into() of the burst path.
 struct ParseCost {
   double alloc_ns = 0;
@@ -224,7 +236,7 @@ ParseCost parse_cost(const std::vector<std::uint8_t>& frame,
   {
     const auto t0 = Clock::now();
     for (int i = 0; i < iters; ++i) {
-      auto f = parse_frame(frame, ctx);
+      auto f = parse_frame_alloc(frame, ctx);
       if (!f) return r;
     }
     r.alloc_ns = secs_since(t0) * 1e9 / iters;

@@ -63,9 +63,10 @@ struct JumboFrame {
     frame.resize(
         build_uplane_frame(frame, eth, EaxcId{}, 0, u, std::span(&sec, 1),
                            ctx));
-    auto parsed = parse_frame(frame, ctx);
-    if (parsed && parsed->is_uplane() && !parsed->uplane().sections.empty())
-      split = parsed->uplane().sections[0].payload_offset;
+    FhFrame parsed;
+    if (parse_frame_into(frame, ctx, parsed) && parsed.is_uplane() &&
+        !parsed.uplane().sections.empty())
+      split = parsed.uplane().sections[0].payload_offset;
   }
 };
 

@@ -17,15 +17,14 @@ City::City(int workers, Scs scs, ChannelParams channel)
 
 City::~City() {
   // Packets that crossed a shard boundary were allocated from the sending
-  // shard's pool: guest-DU match windows, its port queue and any ring
+  // shard's pool: guest-DU match windows, its port queue and any xlink
   // residue must be released before cells_ (and the pools inside) die in
   // an order unrelated to who allocated what.
   for (auto& s : shares_)
     if (s->guest_du != nullptr) s->guest_du->drop_pending_rx();
   for (auto& x : xlinks_) {
-    PacketPtr p;
-    while (x->ab.try_pop(p)) p.reset();
-    while (x->ba.try_pop(p)) p.reset();
+    x->ab.clear();
+    x->ba.clear();
   }
 }
 
@@ -55,7 +54,7 @@ NeutralHostShare& City::add_share(NeutralHostShare s) {
 void City::add_guest_du(int cell_idx, DuModel& du) {
   // The guest DU is stepped at virtual slot V = T+1 while its home shard
   // runs city slot T, at the very top of the slot: its frames for V cross
-  // the xlink ring at barrier T and are pumped by the host shard during
+  // the xlink at barrier T and are pumped by the host shard during
   // slot T+1 = V — on time, with SSB/PRACH periodicity unchanged. UL
   // return frames re-enter its port queue two barriers later, which is
   // why a guest DU is built with a widened UL matching window.
@@ -133,19 +132,17 @@ void City::run_one_slot() {
 }
 
 void City::barrier(std::int64_t t0, std::int64_t dur) {
-  // Everything below runs on the conductor with all workers parked, in
-  // fixed creation order — the single ordering both execution modes
-  // share, which is what keeps serial == parallel(N) bit-identical.
+  // Everything below runs on the conductor after every cell job finished
+  // (WorkerPool::run has returned), in fixed creation order — the single
+  // ordering both execution modes share, which is what keeps serial ==
+  // parallel(N) bit-identical.
   for (auto& xl : xlinks_) {
-    PacketPtr p;
-    while (xl->ab.try_pop(p)) {
-      ++xl->forwarded_ab;
-      xl->b.inject(std::move(p));
-    }
-    while (xl->ba.try_pop(p)) {
-      ++xl->forwarded_ba;
-      xl->a.inject(std::move(p));
-    }
+    for (PacketPtr& p : xl->ab) xl->b.inject(std::move(p));
+    for (PacketPtr& p : xl->ba) xl->a.inject(std::move(p));
+    xl->forwarded_ab += xl->ab.size();
+    xl->forwarded_ba += xl->ba.size();
+    xl->ab.clear();
+    xl->ba.clear();
   }
   for (auto& s : shares_) bridge(*s);
   if (obs::enabled())
@@ -288,7 +285,7 @@ std::vector<std::uint8_t> City::checkpoint() const {
   }
   w.end_section();
   for (const auto& c : cells_) {
-    // Nested whole-deployment blob: at the city barrier the xlink rings
+    // Nested whole-deployment blob: at the city barrier the xlink buffers
     // are empty and in-flight crossings sit in the shards' port RX
     // queues, which rb::checkpoint captures.
     const std::vector<std::uint8_t> blob = rb::checkpoint(*c->dep);
@@ -381,8 +378,8 @@ std::string City::city_mgmt(const std::string& cmd) {
   if (what == "rings") {
     if (xlinks_.empty()) return "no xlinks\n";
     for (const auto& x : xlinks_)
-      os << x->name << " depth_ab=" << x->ab.size_approx()
-         << " depth_ba=" << x->ba.size_approx() << " cap=" << x->ab.capacity()
+      os << x->name << " depth_ab=" << x->ab.size()
+         << " depth_ba=" << x->ba.size() << " cap=" << XLink::kCap
          << " fwd_ab=" << x->forwarded_ab << " fwd_ba=" << x->forwarded_ba
          << " dropped=" << (x->dropped_ab + x->dropped_ba) << "\n";
     return os.str();

@@ -3,14 +3,15 @@
 //
 // Each cell is a full Deployment slice (DU, RUs, middleboxes, fault
 // links, controller) advancing slot-synchronously inside its own shard.
-// The conductor owns the global slot barrier: it dispatches one job per
-// cell onto an exec::WorkerPool (cells are the outer shard; each cell's
-// serial engine runs inside the job), then — with every worker parked —
-// performs all inter-cell work itself in fixed creation order:
+// The conductor owns the global slot barrier: it hands one job per cell
+// to an exec::WorkerPool (cells are the outer shard; each cell's serial
+// engine runs inside the job). WorkerPool::run() returns only after every
+// cell job finished, so at the barrier the conductor alone owns every
+// shard and performs all inter-cell work itself in fixed creation order:
 //
-//   1. drain the lock-free SPSC xlink rings (packets captured leaving a
-//      shard during the slot are injected into their target shard's port
-//      queue, to be processed next slot),
+//   1. drain the xlink buffers (packets captured leaving a shard during
+//      the slot are injected into their target shard's port queue, to be
+//      processed next slot),
 //   2. reconcile neutral-host shares (a guest DU homed in one shard whose
 //      slice of a shared RU radiates in another shard's air model),
 //   3. commit the process-wide observability collector once.
@@ -23,7 +24,7 @@
 // The one-slot shift that makes packet crossings clean: a guest DU is not
 // engine-driven; a pre-slot hook on its home shard steps it at virtual
 // slot V = T+1 while the city runs slot T. Its frames for V cross the
-// ring at barrier T and are pumped by the host shard during slot T+1 = V
+// xlink at barrier T and are pumped by the host shard during slot T+1 = V
 // — exactly on time, with SSB/PRACH periodicity unchanged.
 #pragma once
 
@@ -33,7 +34,6 @@
 #include <vector>
 
 #include "core/mgmt.h"
-#include "exec/spsc_ring.h"
 #include "exec/worker_pool.h"
 #include "net/port.h"
 #include "sim/campus.h"
@@ -44,29 +44,40 @@ namespace rb::city {
 
 /// One bidirectional cross-shard conduit. The two endpoint ports are
 /// owned here (outside any deployment: they never queue and hold no
-/// state); each captures frames leaving its shard into a lock-free SPSC
-/// ring that only the conductor drains, at the barrier, into the far
-/// endpoint's peer. Split latency: 500 ns per hop, so a crossing costs
-/// the same 1 us as a local fronthaul link.
+/// state); each captures frames leaving its shard into a plain buffer
+/// that only the sending shard's job appends to during a slot and only
+/// the conductor drains, at the barrier, into the far endpoint's peer.
+/// Each direction holds at most kCap frames per barrier; the excess is
+/// dropped and counted. Split latency: 500 ns per hop, so a crossing
+/// costs the same 1 us as a local fronthaul link.
 struct XLink {
+  static constexpr std::size_t kCap = 4096;
+
   std::string name;
   Port a;  // endpoint living in the guest shard
   Port b;  // endpoint living in the host shard
-  exec::SpscRing<PacketPtr> ab;
-  exec::SpscRing<PacketPtr> ba;
+  std::vector<PacketPtr> ab;  // written by the guest shard's job
+  std::vector<PacketPtr> ba;  // written by the host shard's job
   std::uint64_t forwarded_ab = 0;  // conductor-owned
   std::uint64_t forwarded_ba = 0;
-  std::uint64_t dropped_ab = 0;  // ring full (shard-owned; read at barrier)
+  std::uint64_t dropped_ab = 0;  // buffer full (shard-owned; read at barrier)
   std::uint64_t dropped_ba = 0;
 
   explicit XLink(std::string n)
-      : name(std::move(n)), a(name + ".a"), b(name + ".b"), ab(4096),
-        ba(4096) {
+      : name(std::move(n)), a(name + ".a"), b(name + ".b") {
+    ab.reserve(kCap);
+    ba.reserve(kCap);
     a.set_rx_handler([this](PacketPtr p) {
-      if (!ab.try_push(std::move(p))) ++dropped_ab;
+      if (ab.size() < kCap)
+        ab.push_back(std::move(p));
+      else
+        ++dropped_ab;
     });
     b.set_rx_handler([this](PacketPtr p) {
-      if (!ba.try_push(std::move(p))) ++dropped_ba;
+      if (ba.size() < kCap)
+        ba.push_back(std::move(p));
+      else
+        ++dropped_ba;
     });
   }
 };

@@ -3,7 +3,10 @@
 //
 // Lives in common/ (header-only, atomics) for the same layering reason as
 // iq_stats.h: the ctrl layer writes, while rb_obs (which links only
-// rb_common) renders the values as Prometheus gauges. Wall-clock decision
+// rb_common) renders the values as Prometheus gauges. Every controller
+// adds deltas, so each value is a commutative sum: counters over every
+// controller the process ran, link gauges over the live ones (a
+// controller withdraws its share when destroyed). Wall-clock decision
 // latency is observability-only - it never feeds back into control
 // decisions, which stay purely virtual-time driven for determinism.
 #pragma once

@@ -3,7 +3,10 @@
 // The exec worker pool marks its threads at startup; code that must only
 // run on the thread owning a cell (e.g. Telemetry::publish/subscribe)
 // asserts !on_exec_worker_thread(). A city conductor's cell job owns its
-// cell, see ShardCoordinatorScope.
+// cell, see ShardCoordinatorScope. Ownership changes threads only at the
+// slot barrier: WorkerPool::run() hands each cell to its pinned worker and
+// returns after every cell job finished, so from then until the next
+// run() the conductor owns every cell.
 #pragma once
 
 namespace rb {
@@ -14,10 +17,11 @@ inline thread_local int t_shard_coordinator = 0;
 }  // namespace detail
 
 /// True on threads owned by exec::WorkerPool, false on the coordinator
-/// (and any other) thread. A pool worker acting as the coordinator of a
-/// nested engine (city mode: each cell's SlotEngine runs inside an outer
-/// worker-pool job) is NOT an exec worker for contract purposes — it owns
-/// that cell's entire state for the duration of the shard job.
+/// (and any other) thread; the coordinator runs worker 0's jobs itself.
+/// A pool worker acting as the coordinator of a nested engine (city mode:
+/// each cell's SlotEngine runs inside an outer worker-pool job) is NOT an
+/// exec worker for contract purposes — it owns that cell's entire state
+/// for the duration of the shard job.
 inline bool on_exec_worker_thread() {
   return detail::t_exec_worker && detail::t_shard_coordinator == 0;
 }

@@ -33,7 +33,7 @@ class ReconfigMgmtHandler {
 
 /// And for the city conductor (src/city, the top layer): the "city" mgmt
 /// verb delegates whole-city queries (cell list, slot budgets, cross-shard
-/// ring depths) and per-cell verb routing through this.
+/// xlink buffer depths) and per-cell verb routing through this.
 class CityMgmtHandler {
  public:
   virtual ~CityMgmtHandler() = default;

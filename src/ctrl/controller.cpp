@@ -41,12 +41,21 @@ AdaptationController::AdaptationController(CtrlConfig cfg)
   obs_track_ = obs::Collector::instance().intern_track(cfg_.name);
 }
 
+AdaptationController::~AdaptationController() {
+  ctrlstats::links_watched().fetch_sub(links_.size(),
+                                       std::memory_order_relaxed);
+  ctrlstats::links_degraded().fetch_sub(published_degraded_,
+                                        std::memory_order_relaxed);
+  ctrlstats::links_ejected().fetch_sub(published_ejected_,
+                                       std::memory_order_relaxed);
+}
+
 int AdaptationController::add_link(LinkSpec spec) {
   LinkState ls;
   ls.spec = std::move(spec);
   if (ls.spec.ul_stats) ls.seen = *ls.spec.ul_stats;
   links_.push_back(std::move(ls));
-  ctrlstats::links_watched().store(links_.size(), std::memory_order_relaxed);
+  ctrlstats::links_watched().fetch_add(1, std::memory_order_relaxed);
   return int(links_.size()) - 1;
 }
 
@@ -89,6 +98,7 @@ bool AdaptationController::apply(LinkState& ls, CtrlAction a) {
   if (!ls.spec.actuate || !ls.spec.actuate(a)) return false;
   ++ls.actions;
   ++actions_applied_;
+  ctrlstats::actions_total().fetch_add(1, std::memory_order_relaxed);
   ls.last_action_slot = a.slot;
   log_.push_back(a);
   if (log_.size() > kLogCap) log_.erase(log_.begin());
@@ -157,18 +167,21 @@ void AdaptationController::decide(LinkState& ls, int index,
   }
 }
 
-void AdaptationController::publish_stats() const {
+void AdaptationController::publish_stats() {
+  // Deltas, never stores: every cell's controller adds into the same
+  // process-wide gauges, possibly from different conductor workers. The
+  // unsigned difference wraps, so a shrinking count subtracts.
   std::uint64_t degraded = 0, ejected = 0;
   for (const auto& ls : links_) {
     if (ls.width_reduced) ++degraded;
     if (ls.mode == LinkMode::Ejected) ++ejected;
   }
-  ctrlstats::links_degraded().store(degraded, std::memory_order_relaxed);
-  ctrlstats::links_ejected().store(ejected, std::memory_order_relaxed);
-  ctrlstats::decisions_total().store(decision_slots_,
-                                     std::memory_order_relaxed);
-  ctrlstats::actions_total().store(actions_applied_,
-                                   std::memory_order_relaxed);
+  ctrlstats::links_degraded().fetch_add(degraded - published_degraded_,
+                                        std::memory_order_relaxed);
+  ctrlstats::links_ejected().fetch_add(ejected - published_ejected_,
+                                       std::memory_order_relaxed);
+  published_degraded_ = degraded;
+  published_ejected_ = ejected;
 }
 
 void AdaptationController::on_slot(std::int64_t slot) {
@@ -177,6 +190,7 @@ void AdaptationController::on_slot(std::int64_t slot) {
   // pure function of virtual-time counters.
   const auto t0 = std::chrono::steady_clock::now();
   ++decision_slots_;
+  ctrlstats::decisions_total().fetch_add(1, std::memory_order_relaxed);
   if (auto_enabled_) {
     for (std::size_t i = 0; i < links_.size(); ++i) {
       sample(links_[i]);

@@ -87,6 +87,11 @@ struct LinkSpec {
 class AdaptationController final : public CtrlMgmtHandler {
  public:
   explicit AdaptationController(CtrlConfig cfg);
+  /// Withdraws this controller's share of the process-wide link gauges.
+  ~AdaptationController() override;
+
+  AdaptationController(const AdaptationController&) = delete;
+  AdaptationController& operator=(const AdaptationController&) = delete;
 
   /// Register a supervised link; returns its index.
   int add_link(LinkSpec spec);
@@ -146,13 +151,17 @@ class AdaptationController final : public CtrlMgmtHandler {
   void sample(LinkState& ls);
   void decide(LinkState& ls, int index, std::int64_t slot);
   bool apply(LinkState& ls, CtrlAction a);
-  void publish_stats() const;
+  void publish_stats();
 
   CtrlConfig cfg_;
   std::vector<LinkState> links_;
   std::vector<CtrlAction> log_;  // bounded decision log (newest last)
   std::uint64_t actions_applied_ = 0;
   std::uint64_t decision_slots_ = 0;
+  // This controller's share of the degraded/ejected gauges in
+  // common/ctrl_stats.h, which sum over every live controller.
+  std::uint64_t published_degraded_ = 0;
+  std::uint64_t published_ejected_ = 0;
   bool auto_enabled_ = true;
   std::uint16_t obs_name_ = 0;   // interned "ctrl.decide"
   std::uint16_t obs_track_ = 0;  // interned track (cfg_.name)

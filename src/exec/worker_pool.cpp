@@ -1,144 +1,87 @@
 #include "exec/worker_pool.h"
 
-#include <chrono>
-
 #include "common/thread_flags.h"
 
 namespace rb::exec {
 namespace {
 
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+// Polls before a waiting thread parks, yielding every 64. Sized on
+// bench_exec_scaling (EXPERIMENTS.md, conductor scaling): long enough that
+// a worker usually catches the next slot without a condvar wake-up.
+constexpr int kSpinPolls = 65536;
 
-constexpr int kSpinPolls = 4096;  // poll budget before parking
+template <typename Pred>
+bool spin_until(Pred done) {
+  for (int i = 0; i < kSpinPolls; ++i) {
+    if (done()) return true;
+    if ((i & 63) == 63) std::this_thread::yield();
+  }
+  return done();
+}
 
 }  // namespace
 
-WorkerPool::WorkerPool(int n_workers)
-    : done_(std::size_t(n_workers < 1 ? 1 : n_workers), /*capacity_each=*/1024) {
-  const int n = n_workers < 1 ? 1 : n_workers;
-  workers_.reserve(std::size_t(n));
-  for (int i = 0; i < n; ++i)
-    workers_.push_back(std::make_unique<WorkerCtx>(/*ring_cap=*/1024));
-  for (int i = 0; i < n; ++i)
-    workers_[std::size_t(i)]->thread =
-        std::thread([this, i] { worker_main(i); });
+WorkerPool::WorkerPool(int n_workers) : n_(n_workers < 1 ? 1 : n_workers) {
+  // The caller of run() is worker 0; the others get a thread each.
+  threads_.reserve(std::size_t(n_ - 1));
+  for (int w = 1; w < n_; ++w)
+    threads_.emplace_back([this, w] { worker_main(w); });
 }
 
 WorkerPool::~WorkerPool() {
-  stop_.store(true, std::memory_order_release);
-  for (auto& w : workers_) {
-    std::lock_guard<std::mutex> lk(w->mu);
-    w->cv.notify_all();
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    stop_ = true;
+    epoch_.fetch_add(1, std::memory_order_release);
   }
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
+  wake_cv_.notify_all();
+  for (auto& t : threads_) t.join();
 }
 
 void WorkerPool::run(std::span<const Job> jobs) {
-  if (jobs.empty()) return;
-  // Inline execution keeps single-worker pools (and tiny batches on a
-  // degenerate pool) cheap and exactly ordered.
-  if (size() == 1) {
-    auto& st = workers_[0]->stats;
-    for (const auto& j : jobs) {
-      const std::int64_t t0 = now_ns();
-      j.fn(j.arg, 0);
-      st.busy_ns += std::uint64_t(now_ns() - t0);
-      ++st.jobs;
-    }
-    st.dispatches += 1;
-    return;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    jobs_ = jobs;
+    busy_.store(n_ - 1, std::memory_order_relaxed);
+    epoch_.fetch_add(1, std::memory_order_release);
   }
-
-  pending_.store(int(jobs.size()), std::memory_order_release);
-  for (const auto& j : jobs) {
-    const std::size_t w =
-        std::size_t(j.worker < 0 || j.worker >= size() ? 0 : j.worker);
-    auto& ctx = *workers_[w];
-    // Spin until the lane accepts; the worker drains concurrently so the
-    // wait is bounded.
-    while (!ctx.jobs.try_push(j)) std::this_thread::yield();
-    {
-      std::lock_guard<std::mutex> lk(ctx.mu);
-      ctx.cv.notify_one();
-    }
-  }
-
-  const std::int64_t w0 = now_ns();
-  std::unique_lock<std::mutex> lk(done_mu_);
-  done_cv_.wait(lk, [this] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
-  lk.unlock();
-  coordinator_wait_ns_ += std::uint64_t(now_ns() - w0);
-
-  // Barrier-time merge of the per-job completion records (the MPSC lanes
-  // are drained in worker order, so this is deterministic).
-  done_.drain([this](Completion c) {
-    auto& st = workers_[std::size_t(c.worker)]->stats;
-    (void)st;  // per-job busy already accumulated worker-side; records
-               // exist for cross-checking and future per-phase accounting
-  });
-  for (auto& w : workers_) w->stats.dispatches += 1;
+  wake_cv_.notify_all();
+  run_pinned(jobs, 0);
+  // Acquire pairs with every worker's release check-in: all job writes
+  // happen-before the return.
+  const auto all_done = [this] {
+    return busy_.load(std::memory_order_acquire) == 0;
+  };
+  if (spin_until(all_done)) return;
+  std::unique_lock<std::mutex> lk(mu_);
+  done_cv_.wait(lk, all_done);
 }
 
 void WorkerPool::worker_main(int w) {
   rb::mark_exec_worker_thread();
-  auto& ctx = *workers_[std::size_t(w)];
+  std::uint64_t seen = 0;
+  const auto published = [&] {
+    return epoch_.load(std::memory_order_acquire) != seen;
+  };
   while (true) {
-    Job j;
-    bool got = false;
-    for (int i = 0; i < kSpinPolls; ++i) {
-      if (ctx.jobs.try_pop(j)) {
-        got = true;
-        break;
-      }
-      if (stop_.load(std::memory_order_acquire)) return;
-      if ((i & 63) == 63) std::this_thread::yield();
+    if (!spin_until(published)) {
+      std::unique_lock<std::mutex> lk(mu_);
+      wake_cv_.wait(lk, published);
     }
-    if (!got) {
-      std::unique_lock<std::mutex> lk(ctx.mu);
-      ++ctx.stats.park_waits;
-      ctx.cv.wait(lk, [&] {
-        return !ctx.jobs.empty_approx() ||
-               stop_.load(std::memory_order_acquire);
-      });
-      if (stop_.load(std::memory_order_acquire) && ctx.jobs.empty_approx())
-        return;
-      continue;
-    }
-
-    const std::int64_t t0 = now_ns();
-    j.fn(j.arg, w);
-    const std::int64_t busy = now_ns() - t0;
-    ctx.stats.busy_ns += std::uint64_t(busy);
-    ++ctx.stats.jobs;
-
-    // Best-effort record: the coordinator drains only after the barrier,
-    // so a full lane must never be waited on (it would deadlock against
-    // pending_). Authoritative per-worker totals live in ctx.stats.
-    if (!done_.try_push(std::size_t(w), Completion{w, busy}))
-      ++ctx.stats.ring_full_spins;
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lk(done_mu_);
+    ++seen;  // run() bumps again only after every worker checked in
+    if (stop_) return;
+    run_pinned(jobs_, w);
+    std::lock_guard<std::mutex> lk(mu_);
+    if (busy_.fetch_sub(1, std::memory_order_release) == 1)
       done_cv_.notify_one();
-    }
   }
 }
 
-WorkerStats WorkerPool::merged_stats() const {
-  WorkerStats all;
-  for (const auto& w : workers_) all += w->stats;
-  return all;
-}
-
-void WorkerPool::reset_stats() {
-  for (auto& w : workers_) w->stats = WorkerStats{};
+void WorkerPool::run_pinned(std::span<const Job> jobs, int w) const {
+  for (const Job& j : jobs) {
+    const int pin = j.worker < 0 || j.worker >= n_ ? 0 : j.worker;
+    if (pin == w) j.fn(j.arg, w);
+  }
 }
 
 }  // namespace rb::exec

@@ -1,51 +1,28 @@
-// Persistent worker-thread pool with lock-free job hand-off.
+// Persistent static fork-join pool: the city conductor's workers.
 //
-// One coordinator thread dispatches batches of jobs; each job is pinned
-// to a worker (the city conductor pins each cell to one worker, so a
-// cell's packets never migrate between threads). Jobs
-// travel coordinator -> worker over per-worker SPSC rings; completion
-// records travel back over an MPSC drain (per-worker SPSC lanes). The
-// rings are the only shared state on the hot path; the mutex/condvar
-// pairs exist purely to park idle threads.
-//
-// Telemetry is sharded: each worker owns a cache-line-padded WorkerStats
-// it alone writes; the coordinator merges shards at the barrier (end of
-// run()), so there is no contended counter cache line - the same reason
-// the paper's DPDK pipeline keeps per-lcore stats.
+// One coordinator thread hands the pool a batch of jobs, each pinned to a
+// worker (the city conductor pins cell i to worker i % n every slot, so a
+// cell's packets never migrate between threads). The coordinator itself is
+// worker 0; workers 1..n-1 are persistent threads. run() publishes the
+// batch and bumps an epoch; each worker runs the jobs pinned to it, in
+// batch order, then checks in. run() returns only after every job body
+// has finished, and that return is the one happens-before edge
+// cross-thread data relies on: whatever a job wrote with plain stores (its
+// cell's xlink buffer, its thread's trace buffer) is visible to the
+// coordinator once run() returns, and whatever the coordinator wrote
+// before run() is visible to every job. Between batches workers spin for a
+// while on the epoch, then park on a condvar.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <thread>
 #include <vector>
 
-#include "exec/mpsc_drain.h"
-#include "exec/spsc_ring.h"
-
 namespace rb::exec {
-
-/// Per-worker telemetry shard. Padded so two workers never write the same
-/// cache line.
-struct alignas(kCacheLine) WorkerStats {
-  std::uint64_t jobs = 0;          // jobs executed
-  std::uint64_t busy_ns = 0;       // wall time inside jobs
-  std::uint64_t dispatches = 0;    // batches this worker took part in
-  std::uint64_t park_waits = 0;    // times the thread went to sleep
-  std::uint64_t ring_full_spins = 0;  // completion-lane backpressure events
-
-  WorkerStats& operator+=(const WorkerStats& o) {
-    jobs += o.jobs;
-    busy_ns += o.busy_ns;
-    dispatches += o.dispatches;
-    park_waits += o.park_waits;
-    ring_full_spins += o.ring_full_spins;
-    return *this;
-  }
-};
 
 class WorkerPool {
  public:
@@ -61,44 +38,29 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  int size() const { return int(workers_.size()); }
+  int size() const { return n_; }
 
-  /// Execute a batch and block until every job completed. Coordinator
-  /// thread only. Jobs with out-of-range `worker` are clamped.
+  /// Execute a batch and block until every job finished. Coordinator
+  /// thread only; it runs worker 0's jobs itself, so a 1-worker pool runs
+  /// the whole batch inline, in order. Jobs with out-of-range `worker` are
+  /// clamped to worker 0.
   void run(std::span<const Job> jobs);
 
-  /// Telemetry shard of one worker. Stable (no concurrent writers) while
-  /// no run() is in flight.
-  const WorkerStats& stats(int w) const { return workers_[std::size_t(w)]->stats; }
-  WorkerStats merged_stats() const;
-  void reset_stats();
-
-  /// Wall time the coordinator spent blocked in run() so far (ns).
-  std::uint64_t coordinator_wait_ns() const { return coordinator_wait_ns_; }
-
  private:
-  struct Completion {
-    std::int32_t worker = 0;
-    std::int64_t busy_ns = 0;
-  };
-  struct WorkerCtx {
-    explicit WorkerCtx(std::size_t ring_cap) : jobs(ring_cap) {}
-    SpscRing<Job> jobs;
-    std::mutex mu;
-    std::condition_variable cv;
-    WorkerStats stats{};
-    std::thread thread;  // started last
-  };
-
   void worker_main(int w);
+  void run_pinned(std::span<const Job> jobs, int w) const;
 
-  MpscDrain<Completion> done_;
-  std::atomic<int> pending_{0};
-  std::atomic<bool> stop_{false};
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
-  std::uint64_t coordinator_wait_ns_ = 0;
-  std::vector<std::unique_ptr<WorkerCtx>> workers_;
+  const int n_;
+  // Every write to the four fields below happens under mu_; a spinning
+  // thread may read epoch_ and busy_ without it.
+  std::mutex mu_;
+  std::span<const Job> jobs_;  // the published batch
+  bool stop_ = false;          // published with the final epoch bump
+  std::atomic<std::uint64_t> epoch_{0};  // bumped once per batch
+  std::atomic<int> busy_{0};  // threads still running the current batch
+  std::condition_variable wake_cv_;  // parked workers wait for an epoch
+  std::condition_variable done_cv_;  // the coordinator waits for busy_ == 0
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace rb::exec

@@ -2,13 +2,6 @@
 
 namespace rb {
 
-std::optional<FhFrame> parse_frame(std::span<const std::uint8_t> frame,
-                                   const FhContext& ctx, ParseError* err) {
-  FhFrame f;
-  if (!parse_frame_into(frame, ctx, f, err)) return std::nullopt;
-  return f;
-}
-
 bool parse_frame_into(std::span<const std::uint8_t> frame,
                       const FhContext& ctx, FhFrame& out, ParseError* err) {
   const auto fail = [&](ParseError e) {

@@ -1,9 +1,10 @@
 // Whole-frame assembly and classification: Ethernet + eCPRI + CUS-plane.
 //
-// This is the entry point the datapath uses: a middlebox receives raw bytes
-// from a port, calls parse_frame() once, and gets a typed view telling it
-// whether it holds a C-plane or U-plane message, for which eAxC, and where
-// the IQ payloads live inside the buffer.
+// This is the entry point the datapath uses: a middlebox, DU or RU receives
+// raw bytes from a port, calls parse_frame_into() once into a reused
+// FhFrame, and gets a typed view telling it whether it holds a C-plane or
+// U-plane message, for which eAxC, and where the IQ payloads live inside
+// the buffer.
 #pragma once
 
 #include <cstdint>
@@ -36,18 +37,13 @@ struct FhFrame {
   SlotPoint at() const { return is_cplane() ? cplane().at : uplane().at; }
 };
 
-/// Parse a full frame. Returns nullopt for anything that is not a valid
-/// eCPRI CUS-plane frame (the middleboxes forward such frames untouched).
-/// On failure the optional out-parameter reports the typed reason, so
-/// callers can count rejects per reason.
-std::optional<FhFrame> parse_frame(std::span<const std::uint8_t> frame,
-                                   const FhContext& ctx,
-                                   ParseError* err = nullptr);
-
-/// Parse into a reused FhFrame: the section vectors keep their capacity
-/// across calls, so a steady-state parse of uniform traffic touches no
-/// heap. Same accept/reject semantics as parse_frame(); on reject `out`
-/// holds unspecified (but valid) contents.
+/// Parse a full frame into a reused FhFrame: the section vectors keep
+/// their capacity across calls, so a steady-state parse of uniform traffic
+/// touches no heap. Returns false for anything that is not a valid eCPRI
+/// CUS-plane frame (the middleboxes forward such frames untouched); `out`
+/// then holds unspecified (but valid) contents, and the optional
+/// out-parameter reports the typed reason, so callers can count rejects
+/// per reason.
 bool parse_frame_into(std::span<const std::uint8_t> frame,
                       const FhContext& ctx, FhFrame& out,
                       ParseError* err = nullptr);

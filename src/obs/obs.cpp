@@ -49,13 +49,13 @@ void Collector::stop() {
 void Collector::reset() {
   stop();
   std::lock_guard<std::mutex> lk(reg_mu_);
-  // Flush stale events out of every ring; the rings themselves (and the
-  // thread_local pointers into them) stay alive across runs.
+  // Flush stale events out of every buffer; the buffers themselves (and
+  // the thread_local pointers into them) stay alive across runs.
   scratch_.clear();
-  for (auto& r : rings_) r->drain(scratch_);
+  for (auto& b : buffers_) b->drain(scratch_);
   scratch_.clear();
-  ring_dropped_seen_ = 0;
-  for (auto& r : rings_) ring_dropped_seen_ += r->dropped();
+  buffer_dropped_seen_ = 0;
+  for (auto& b : buffers_) buffer_dropped_seen_ += b->dropped();
   events_.clear();
   budgets_.clear();
   hists_.clear();
@@ -93,17 +93,17 @@ std::string Collector::track_str(std::uint16_t id) const {
   return id < tracks_.size() ? tracks_[id] : "?";
 }
 
-TraceRing& Collector::thread_ring() {
-  thread_local TraceRing* ring = nullptr;
-  if (!ring) {
+TraceBuffer& Collector::thread_buffer() {
+  thread_local TraceBuffer* buf = nullptr;
+  if (!buf) {
     std::lock_guard<std::mutex> lk(reg_mu_);
-    rings_.push_back(std::make_unique<TraceRing>(cfg_.ring_capacity));
-    ring = rings_.back().get();
+    buffers_.push_back(std::make_unique<TraceBuffer>());
+    buf = buffers_.back().get();
   }
-  return *ring;
+  return *buf;
 }
 
-void Collector::emit(const TraceEvent& e) { thread_ring().push(e); }
+void Collector::emit(const TraceEvent& e) { thread_buffer().push(e); }
 
 LatencyHistogram& Collector::hist_slot(HistKind k, std::uint16_t track) {
   const std::uint32_t key =
@@ -124,16 +124,16 @@ void Collector::commit_slot(std::int64_t slot, std::int64_t t0,
   scratch_.clear();
   {
     std::lock_guard<std::mutex> lk(reg_mu_);
-    std::uint64_t ring_dropped = 0;
-    for (auto& r : rings_) {
-      r->drain(scratch_);
-      ring_dropped += r->dropped();
+    std::uint64_t buffer_dropped = 0;
+    for (auto& b : buffers_) {
+      b->drain(scratch_);
+      buffer_dropped += b->dropped();
     }
-    dropped_ += ring_dropped - ring_dropped_seen_;
-    ring_dropped_seen_ = ring_dropped;
+    dropped_ += buffer_dropped - buffer_dropped_seen_;
+    buffer_dropped_seen_ = buffer_dropped;
   }
   // Deterministic total order: the same event multiset sorts to the same
-  // sequence whether it came from one ring or eight.
+  // sequence whether it came from one buffer or eight.
   std::sort(scratch_.begin(), scratch_.end(), event_less);
 
   SlotBudget b;

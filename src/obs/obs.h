@@ -2,15 +2,16 @@
 // point writes to.
 //
 // Hot path: one relaxed atomic load (`obs::enabled()`) and, when on, one
-// lock-free push into the calling thread's TraceRing. Disabled, every
+// append to the calling thread's TraceBuffer. Disabled, every
 // instrumentation site reduces to that single predictable branch, so the
 // simulation's modeled results and its wall-clock cost are untouched
 // (bench_obs_overhead gates the enabled cost at <5%).
 //
 // Barrier: commit_slot() runs once per slot with no other thread
 // emitting: a single SlotEngine calls it at the end of each slot, and the
-// city conductor at its barrier after every worker has parked. The collector
-// drains all rings, sorts the slot's events into a deterministic total
+// city conductor at its barrier after WorkerPool::run() has returned, which
+// makes every worker's buffered events visible to it. The collector
+// drains all buffers, sorts the slot's events into a deterministic total
 // order, folds them into per-slot budgets and mergeable histograms, and
 // appends them to the retained trace (bounded; overflow counted). All
 // derived state is therefore a pure function of the event multiset and
@@ -39,9 +40,6 @@ namespace rb::obs {
 struct ObsConfig {
   /// Retain raw events for export (budgets/histograms accrue regardless).
   bool tracing = true;
-  /// Per-thread ring capacity (events); applies to rings created after
-  /// start(). A ring must hold one slot's worth of one thread's events.
-  std::size_t ring_capacity = 1 << 15;
   /// Cap on retained merged events; past it, events are dropped+counted.
   std::size_t max_trace_events = 1 << 20;
   /// Slot deadline override in ns; 0 derives it from the engine's SCS.
@@ -118,11 +116,11 @@ class Collector {
   std::string name_str(std::uint16_t id) const;
   std::string track_str(std::uint16_t id) const;
 
-  /// Hot path: append to the calling thread's ring (registered lazily).
+  /// Hot path: append to the calling thread's buffer (registered lazily).
   void emit(const TraceEvent& e);
 
-  /// Slot barrier (coordinator only, workers parked): drain rings, sort,
-  /// fold into budgets/histograms, retain the trace.
+  /// Slot barrier (coordinator only, no thread emitting): drain buffers,
+  /// sort, fold into budgets/histograms, retain the trace.
   void commit_slot(std::int64_t slot, std::int64_t t0,
                    std::int64_t slot_duration_ns);
 
@@ -143,25 +141,25 @@ class Collector {
 
   std::uint64_t slots_committed() const { return slots_; }
   std::uint64_t deadline_misses() const { return misses_; }
-  /// Events lost to ring overflow plus retained-trace cap overflow.
+  /// Events lost to buffer overflow plus retained-trace cap overflow.
   std::uint64_t dropped() const { return dropped_; }
   std::uint64_t total_events() const { return total_events_; }
 
  private:
   Collector();
 
-  TraceRing& thread_ring();
+  TraceBuffer& thread_buffer();
   LatencyHistogram& hist_slot(HistKind k, std::uint16_t track);
 
   ObsConfig cfg_{};
 
-  mutable std::mutex reg_mu_;  // name/track/ring registries
+  mutable std::mutex reg_mu_;  // name/track/buffer registries
   std::unordered_map<std::string, std::uint16_t> name_idx_;
   std::vector<std::string> names_;
   std::unordered_map<std::string, std::uint16_t> track_idx_;
   std::vector<std::string> tracks_;
-  std::vector<std::unique_ptr<TraceRing>> rings_;
-  std::uint64_t ring_dropped_seen_ = 0;
+  std::vector<std::unique_ptr<TraceBuffer>> buffers_;
+  std::uint64_t buffer_dropped_seen_ = 0;
 
   // Derived state: coordinator-only at the barrier.
   std::vector<TraceEvent> scratch_;

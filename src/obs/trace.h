@@ -1,30 +1,27 @@
 // Low-overhead tracing substrate: fixed-size trace events and the
-// lock-free per-worker ring they travel through.
+// per-thread buffer they travel through.
 //
 // Every instrumentation point in the stack (slot engine, middlebox
 // runtime, ports, fault layer, apps) emits 32-byte POD events stamped
 // with *virtual* nanoseconds — the simulation's modeled time, not wall
 // time. Because modeled time is deterministic, a serial and a parallel
 // city conductor running the same seed emit the same event multiset;
-// the collector merges the per-thread rings at the slot
+// the collector merges the per-thread buffers at the slot
 // barrier with a total order, so the two runs produce equivalent traces
 // (asserted by tests/test_obs.cpp).
 //
-// The ring mirrors the exec::SpscRing discipline (single producer = the
-// owning thread, single consumer = the coordinator at the barrier,
-// cache-line-padded Lamport indices) but adds overflow accounting: a
-// full ring drops the event and counts it instead of blocking the hot
-// path.
+// A buffer is plain memory: its owning thread appends during a slot, and
+// the collector drains it only at the slot barrier, after the conductor's
+// WorkerPool::run() has returned. The pool's fork-join is the
+// happens-before edge between the two, so no atomics are needed. A full
+// buffer drops the event and counts it instead of stalling the hot path.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace rb::obs {
-
-inline constexpr std::size_t kCacheLine = 64;
 
 /// Span taxonomy. Categories drive budget attribution and export
 /// grouping; fine-grained identity lives in the interned `name` field.
@@ -42,7 +39,7 @@ enum class Cat : std::uint8_t {
 
 const char* cat_name(Cat c);
 
-/// One trace record. 32 bytes, trivially copyable, written lock-free.
+/// One trace record. 32 bytes, trivially copyable.
 struct TraceEvent {
   std::int64_t ts_ns = 0;    // virtual start time
   std::uint64_t arg = 0;     // event-specific payload (bytes, reason, ...)
@@ -57,7 +54,7 @@ static_assert(sizeof(TraceEvent) <= 32, "keep the hot-path record small");
 
 /// Deterministic total order for the barrier merge: virtual time first,
 /// then stable structural tie-breaks, so identical event multisets sort
-/// to identical sequences regardless of which thread's ring they sat in.
+/// to identical sequences regardless of which thread's buffer they sat in.
 inline bool event_less(const TraceEvent& a, const TraceEvent& b) {
   if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
   if (a.cat != b.cat) return a.cat < b.cat;
@@ -67,67 +64,42 @@ inline bool event_less(const TraceEvent& a, const TraceEvent& b) {
   return a.arg < b.arg;
 }
 
-/// Bounded single-producer trace ring. The owning thread pushes; the
-/// coordinator drains at the slot barrier. Overflow drops (counted), so
-/// a traffic burst can never stall packet processing.
-class TraceRing {
+/// Events one thread may buffer between two slot barriers; past it,
+/// events are dropped and counted.
+inline constexpr std::size_t kTraceBufferCap = 1 << 15;
+
+/// Bounded per-thread trace buffer. The owning thread pushes; the
+/// collector drains it at the slot barrier, never concurrently with a
+/// push.
+class TraceBuffer {
  public:
-  explicit TraceRing(std::size_t min_capacity = 1 << 15)
-      : mask_(round_up_pow2(min_capacity) - 1),
-        slots_(round_up_pow2(min_capacity)) {}
+  explicit TraceBuffer(std::size_t capacity = kTraceBufferCap)
+      : cap_(capacity) {}
 
-  TraceRing(const TraceRing&) = delete;
-  TraceRing& operator=(const TraceRing&) = delete;
+  std::size_t capacity() const { return cap_; }
 
-  std::size_t capacity() const { return mask_ + 1; }
-
-  /// Producer side. Full ring: drop + count, never block.
+  /// Owning thread. Full buffer: drop + count, never block.
   void push(const TraceEvent& e) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_cache_ > mask_) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      if (tail - head_cache_ > mask_) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
+    if (events_.size() == cap_) {
+      ++dropped_;
+      return;
     }
-    slots_[tail & mask_] = e;
-    tail_.store(tail + 1, std::memory_order_release);
+    events_.push_back(e);
   }
 
-  /// Consumer side: pop everything currently visible into `out`.
+  /// Barrier only: move everything buffered into `out`, oldest first.
   void drain(std::vector<TraceEvent>& out) {
-    std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t tail = tail_.load(std::memory_order_acquire);
-    while (head != tail) {
-      out.push_back(slots_[head & mask_]);
-      ++head;
-    }
-    head_.store(head, std::memory_order_release);
+    out.insert(out.end(), events_.begin(), events_.end());
+    events_.clear();
   }
 
-  /// Events dropped to overflow since construction (producer-written,
-  /// read by the collector at the barrier).
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
-  static constexpr std::size_t round_up_pow2(std::size_t n) {
-    std::size_t p = 1;
-    while (p < n) p <<= 1;
-    return p < 2 ? 2 : p;
-  }
+  /// Events dropped to overflow since construction.
+  std::uint64_t dropped() const { return dropped_; }
 
  private:
-  const std::size_t mask_;
-  std::vector<TraceEvent> slots_;
-
-  alignas(kCacheLine) std::atomic<std::size_t> head_{0};
-  // Producer-owned line: tail index + cached consumer index + drop count.
-  alignas(kCacheLine) std::atomic<std::size_t> tail_{0};
-  std::size_t head_cache_ = 0;
-  std::atomic<std::uint64_t> dropped_{0};
-  char pad_end_[kCacheLine]{};
+  const std::size_t cap_;
+  std::vector<TraceEvent> events_;
+  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace rb::obs

@@ -382,28 +382,28 @@ void DuModel::process_rx(std::int64_t slot, std::int64_t slot_start_ns) {
   std::vector<PacketPtr> pkts;
   while (port_->rx_burst(pkts, 64) > 0) {
     for (auto& p : pkts) {
-      auto frame = parse_frame(p->data(), fh_);
-      if (!frame) {
+      if (!parse_frame_into(p->data(), fh_, rx_frame_)) {
         ++stats_.parse_errors;
         continue;
       }
+      const FhFrame& frame = rx_frame_;
       const std::int64_t nominal =
-          slot_start_ns + std::int64_t(frame->at().symbol) *
+          slot_start_ns + std::int64_t(frame.at().symbol) *
                               symbol_duration_ns(cfg_.cell.scs);
       if (p->rx_time_ns > nominal + cfg_.latency_budget_ns) {
         if (getenv("RB_DEBUG_LATE"))
           fprintf(stderr, "[late@du] slot=%lld sym=%d over_by=%lldns cplane=%d\n",
-                  (long long)slot, frame->at().symbol,
+                  (long long)slot, frame.at().symbol,
                   (long long)(p->rx_time_ns - nominal - cfg_.latency_budget_ns),
-                  int(frame->is_cplane()));
+                  int(frame.is_cplane()));
         ++stats_.late_drops;
         continue;
       }
-      if (!frame->is_uplane()) continue;
-      const auto& u = frame->uplane();
+      if (!frame.is_uplane()) continue;
+      const auto& u = frame.uplane();
       if (u.direction != Direction::Uplink) continue;
       ++stats_.uplane_rx;
-      const auto eaxc = frame->ecpri.eaxc;
+      const auto eaxc = frame.ecpri.eaxc;
 
       if (eaxc.du_port == 1) {
         // PRACH stream: detect energy in sections addressed to us.
@@ -650,9 +650,9 @@ void DuModel::load_state(state::StateReader& r) {
       for (std::uint32_t a = 0, na = r.count(8); a < na && r.ok(); ++a) {
         PacketPtr p = load_packet(r, *pool_);
         if (!p) break;
-        auto frame = parse_frame(p->data(), fh_);
-        if (frame && frame->is_uplane()) {
-          win.port0_msgs.push_back(frame->uplane());
+        if (parse_frame_into(p->data(), fh_, rx_frame_) &&
+            rx_frame_.is_uplane()) {
+          win.port0_msgs.push_back(rx_frame_.uplane());
           win.port0_pkts.push_back(std::move(p));
         }
       }

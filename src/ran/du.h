@@ -171,6 +171,7 @@ class DuModel {
   };
   std::vector<UlWindow> ul_windows_;
 
+  FhFrame rx_frame_;  // parse scratch, keeps its section capacity
   std::unordered_map<std::uint16_t, std::uint8_t> seq_;
   std::unordered_map<UeId, std::uint64_t> last_dl_errors_;
   std::unordered_map<UeId, std::uint64_t> last_ul_errors_;

@@ -61,24 +61,24 @@ void RuModel::process_dl(std::int64_t slot, std::int64_t slot_start_ns) {
   std::vector<PacketPtr> pkts;
   while (port_->rx_burst(pkts, 64) > 0) {
     for (auto& p : pkts) {
-      auto frame = parse_frame(p->data(), cfg_.fh);
-      if (!frame) {
+      if (!parse_frame_into(p->data(), cfg_.fh, rx_frame_)) {
         ++stats_.parse_errors;
         continue;
       }
+      const FhFrame& frame = rx_frame_;
       // Reception window: each frame must arrive within the budget of its
       // own symbol's nominal time.
       const std::int64_t nominal =
           slot_start_ns +
-          std::int64_t(frame->at().symbol) * symbol_duration_ns(Scs::kHz30);
+          std::int64_t(frame.at().symbol) * symbol_duration_ns(Scs::kHz30);
       if (p->rx_time_ns > nominal + cfg_.latency_budget_ns) {
         ++stats_.late_drops;
         continue;
       }
-      const EaxcId eaxc = frame->ecpri.eaxc;
-      if (frame->is_cplane()) {
+      const EaxcId eaxc = frame.ecpri.eaxc;
+      if (frame.is_cplane()) {
         ++stats_.cplane_rx;
-        const auto& c = frame->cplane();
+        const auto& c = frame.cplane();
         if (c.direction == Direction::Downlink) {
           // Record scheduled coverage; radiation is clipped to it.
           auto& acc = port_accum_[eaxc.ru_port];
@@ -93,7 +93,7 @@ void RuModel::process_dl(std::int64_t slot, std::int64_t slot_start_ns) {
             r.section_id = s.section_id;
             r.freq_offset = s.freq_offset;
             r.n_prb = s.effective_prbs(n_prb_);
-            r.reply_to = frame->eth.src;
+            r.reply_to = frame.eth.src;
             prach_requests_.push_back(r);
           }
         } else {
@@ -107,7 +107,7 @@ void RuModel::process_dl(std::int64_t slot, std::int64_t slot_start_ns) {
             r.start_prb = s.start_prb;
             r.n_prb = s.effective_prbs(n_prb_);
             r.symbol = c.at.symbol;
-            r.reply_to = frame->eth.src;
+            r.reply_to = frame.eth.src;
             r.eaxc = eaxc;
             ul_requests_.push_back(r);
           }
@@ -116,7 +116,7 @@ void RuModel::process_dl(std::int64_t slot, std::int64_t slot_start_ns) {
       }
 
       // U-plane (downlink IQ to radiate).
-      const auto& u = frame->uplane();
+      const auto& u = frame.uplane();
       if (u.direction != Direction::Downlink) continue;
       if (eaxc.ru_port >= cfg_.site.n_antennas) {
         ++stats_.unexpected_port_drops;

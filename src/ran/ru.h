@@ -120,6 +120,7 @@ class RuModel {
   std::vector<UlRequest> ul_requests_;
   std::vector<PrachRequest> prach_requests_;
   std::unordered_map<int, PortAccum> port_accum_;
+  FhFrame rx_frame_;  // parse scratch, keeps its section capacity
   std::unordered_map<std::uint16_t, std::uint8_t> seq_;
 
   RuStats stats_;

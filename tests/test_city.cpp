@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "city/city.h"
+#include "common/ctrl_stats.h"
 #include "core/mgmt.h"
 #include "ran/vendor.h"
 #include "sim/campus.h"
@@ -18,6 +19,7 @@ namespace {
 using city::build_city;
 using city::City;
 using city::CityConfig;
+using city::XLink;
 
 // --- campus geometry (satellite: Floorplan -> Campus) -----------------
 
@@ -143,9 +145,53 @@ TEST(CityNeutralHost, GuestAttachesAndCarriesTrafficAcrossShards) {
             c->cell(1).dep->air.dl_bits(s.mirror_ue));
   EXPECT_EQ(c->cell(0).dep->air.ul_bits(s.real_ue),
             c->cell(1).dep->air.ul_bits(s.mirror_ue));
-  // Nothing overflowed the cross-shard rings.
+  // Nothing overflowed the cross-shard buffers.
   for (std::size_t i = 0; i < c->num_xlinks(); ++i)
     EXPECT_EQ(c->xlink(i).dropped_ab + c->xlink(i).dropped_ba, 0u);
+}
+
+// --- xlink cap ----------------------------------------------------------
+
+TEST(CityXLink, FramesOverTheCapAreDroppedAndCounted) {
+  // A sender in cell "src" offers more frames in one slot than an xlink
+  // holds per barrier. The first XLink::kCap cross to cell "dst"; the
+  // excess is dropped and counted, the same way on every conductor. "src"
+  // is cell 1, so on 2 workers it fills the buffer from a pool thread.
+  constexpr std::uint64_t kOffered = XLink::kCap + 1000;
+  constexpr int kSlots = 3;
+  const auto run = [&](int workers) {
+    PacketPool pool(2 * XLink::kCap);  // outlives the city's packets
+    City c(workers);
+    Deployment& dst = *c.add_cell("dst").dep;
+    Deployment& src = *c.add_cell("src").dep;
+    XLink& xl = c.add_xlink("xl:cap");
+    Port& tx = src.new_port("src.tx");
+    Port& rx = dst.new_port("dst.rx");
+    Port::connect(tx, xl.a, 500);
+    Port::connect(xl.b, rx, 500);
+    std::uint64_t received = 0;
+    rx.set_rx_handler([&received](PacketPtr) { ++received; });
+    src.engine.add_begin_slot_hook([&](std::int64_t) {
+      for (std::uint64_t i = 0; i < kOffered; ++i) {
+        PacketPtr p = pool.alloc();
+        p->set_len(64);
+        tx.send(std::move(p));
+      }
+    });
+    c.run_slots(kSlots);
+
+    EXPECT_EQ(xl.forwarded_ab + xl.dropped_ab, kSlots * kOffered);
+    EXPECT_EQ(xl.forwarded_ab, kSlots * XLink::kCap);
+    EXPECT_EQ(xl.dropped_ab, kSlots * (kOffered - XLink::kCap));
+    EXPECT_EQ(xl.forwarded_ba + xl.dropped_ba, 0u);
+    EXPECT_EQ(received, xl.forwarded_ab);
+    EXPECT_EQ(pool.alloc_failures(), 0u);
+    return c.fingerprint();
+  };
+  const std::string serial = run(0);
+  EXPECT_EQ(run(2), serial);
+  EXPECT_NE(serial.find("xl:cap ab=12288 ba=0 drop=3000"), std::string::npos)
+      << serial;
 }
 
 // --- determinism: serial == parallel(N), city-wide --------------------
@@ -184,6 +230,59 @@ TEST(CityChaosSoak, SerialEqualsParallelUnderFaultsWithNeutralHost) {
   const std::string parallel = run_city(cfg, 2000);
   EXPECT_EQ(serial, parallel);
   EXPECT_NE(serial.find("share:"), std::string::npos);
+}
+
+// --- process-wide controller stats sum over cells ---------------------
+
+TEST(CityCtrlStats, ControllerStatsSumOverCellsOnAnyConductor) {
+  // Each cell runs its own adaptation controller, and all of them publish
+  // into the same process-wide rb_ctrl_* values. Those must be sums over
+  // the cells, not whichever cell published last, and a destroyed
+  // controller must withdraw its share of the link gauges.
+  constexpr int kSlots = 100;
+  struct Stats {
+    std::uint64_t decisions, actions, watched, degraded, ejected;
+  };
+  const auto read = [] {
+    return Stats{ctrlstats::decisions_total().load(),
+                 ctrlstats::actions_total().load(),
+                 ctrlstats::links_watched().load(),
+                 ctrlstats::links_degraded().load(),
+                 ctrlstats::links_ejected().load()};
+  };
+  for (const int workers : {0, 2}) {
+    const Stats before = read();
+    {
+      CityConfig cfg;
+      cfg.n_cells = 2;
+      cfg.faults = true;
+      cfg.controller = true;
+      cfg.workers = workers;
+      auto c = build_city(cfg);
+      c->run_slots(kSlots);
+      std::uint64_t actions = 0, links = 0, ejected = 0;
+      for (std::size_t i = 0; i < c->num_cells(); ++i) {
+        ASSERT_EQ(c->cell(i).dep->controllers.size(), 1u);
+        const auto& ctl = *c->cell(i).dep->controllers.front();
+        actions += ctl.actions_applied();
+        links += std::uint64_t(ctl.num_links());
+        for (int l = 0; l < ctl.num_links(); ++l)
+          if (ctl.mode(l) == ctrl::AdaptationController::LinkMode::Ejected)
+            ++ejected;
+      }
+      const Stats after = read();
+      EXPECT_EQ(after.decisions - before.decisions, 2u * kSlots)
+          << "workers=" << workers;
+      EXPECT_EQ(after.actions - before.actions, actions);
+      EXPECT_EQ(links, 2u);
+      EXPECT_EQ(after.watched - before.watched, links);
+      EXPECT_EQ(after.ejected - before.ejected, ejected);
+    }
+    const Stats gone = read();
+    EXPECT_EQ(gone.watched, before.watched);
+    EXPECT_EQ(gone.degraded, before.degraded);
+    EXPECT_EQ(gone.ejected, before.ejected);
+  }
 }
 
 // --- whole-city checkpoint/restore ------------------------------------

@@ -1,16 +1,13 @@
-// Parallel execution: ring primitives, worker pool, and the core
+// Parallel execution: the worker pool's fork-join contract, and the core
 // guarantee — a parallel city conductor produces packet-for-packet the
 // same results as the serial one.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "exec/mpsc_drain.h"
-#include "exec/spsc_ring.h"
 #include "exec/worker_pool.h"
 #include "rigs.h"
 
@@ -18,138 +15,68 @@ namespace rb {
 namespace {
 
 // ----------------------------------------------------------------------
-// SPSC ring
-// ----------------------------------------------------------------------
-
-TEST(SpscRing, FifoFullAndWraparound) {
-  exec::SpscRing<int> ring(4);  // rounded to a power of two >= 4
-  EXPECT_TRUE(ring.empty_approx());
-
-  // Fill to capacity, then overflow must be rejected.
-  int pushed = 0;
-  while (ring.try_push(pushed)) ++pushed;
-  EXPECT_GE(pushed, 4);
-  EXPECT_FALSE(ring.try_push(999));
-
-  // Drain in FIFO order.
-  int v = -1;
-  for (int i = 0; i < pushed; ++i) {
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(ring.try_pop(v));
-
-  // Wrap the indices around the ring many times.
-  for (int round = 0; round < 1000; ++round) {
-    ASSERT_TRUE(ring.try_push(round));
-    ASSERT_TRUE(ring.try_push(-round));
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, round);
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, -round);
-  }
-  EXPECT_TRUE(ring.empty_approx());
-}
-
-TEST(SpscRing, TwoThreadStressPreservesSequence) {
-  exec::SpscRing<std::uint64_t> ring(256);
-  constexpr std::uint64_t kN = 1'000'000;
-
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kN;) {
-      if (ring.try_push(i))
-        ++i;
-      else
-        std::this_thread::yield();
-    }
-  });
-
-  std::uint64_t expect = 0;
-  std::uint64_t v = 0;
-  while (expect < kN) {
-    if (ring.try_pop(v)) {
-      ASSERT_EQ(v, expect);  // strict FIFO, nothing lost or duplicated
-      ++expect;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_FALSE(ring.try_pop(v));
-}
-
-// ----------------------------------------------------------------------
-// MPSC drain
-// ----------------------------------------------------------------------
-
-TEST(MpscDrain, MultiProducerStressKeepsPerProducerFifo) {
-  constexpr int kProducers = 4;
-  constexpr std::uint64_t kPerProducer = 200'000;
-  exec::MpscDrain<std::pair<int, std::uint64_t>> drain(kProducers, 1024);
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::uint64_t i = 0; i < kPerProducer;) {
-        if (drain.try_push(std::size_t(p), {p, i}))
-          ++i;
-        else
-          std::this_thread::yield();
-      }
-    });
-  }
-
-  std::vector<std::uint64_t> next(kProducers, 0);
-  std::uint64_t total = 0;
-  while (total < kProducers * kPerProducer) {
-    drain.drain([&](const std::pair<int, std::uint64_t>& e) {
-      ASSERT_EQ(e.second, next[std::size_t(e.first)]);  // per-lane FIFO
-      ++next[std::size_t(e.first)];
-      ++total;
-    });
-  }
-  for (auto& t : producers) t.join();
-  drain.drain([&](const auto&) { FAIL() << "drain not empty"; });
-  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next[p], kPerProducer);
-}
-
-// ----------------------------------------------------------------------
 // Worker pool
 // ----------------------------------------------------------------------
 
-TEST(WorkerPool, RoutesJobsToPinnedWorkersAndCountsStats) {
-  exec::WorkerPool pool(3);
-  ASSERT_EQ(pool.size(), 3);
+/// What XLink and the obs trace buffers rely on: every job runs exactly
+/// once per run(), on its pinned worker (worker 0 is the caller), after
+/// the earlier jobs pinned to that worker, and its plain (non-atomic)
+/// writes are visible to the caller once run() returns. Under TSan a
+/// missing happens-before edge shows up as a race report on the plain
+/// fields.
+TEST(WorkerPool, RunsEachJobOnceOnItsPinnedWorkerAndPublishesItsWrites) {
+  for (const int n : {1, 3}) {
+    exec::WorkerPool pool(n);
+    ASSERT_EQ(pool.size(), n);
 
-  struct Probe {
-    std::atomic<int> seen_worker{-1};
-    std::atomic<int> runs{0};
-  };
-  std::vector<Probe> probes(64);
-  auto fn = +[](void* arg, int worker) {
-    auto* p = static_cast<Probe*>(arg);
-    p->seen_worker.store(worker);
-    p->runs.fetch_add(1);
-  };
-
-  for (int batch = 0; batch < 50; ++batch) {
+    struct Probe {
+      int index = 0;
+      int worker = -1;
+      std::thread::id thread;
+      std::vector<int> runs;  // one plain append per run
+      std::vector<std::vector<int>>* order = nullptr;  // per-worker log
+    };
+    constexpr int kJobs = 64;
+    const auto nw = std::size_t(n);
+    std::vector<std::vector<int>> order(nw);
+    std::vector<Probe> probes(kJobs);
     std::vector<exec::WorkerPool::Job> jobs;
-    for (int i = 0; i < int(probes.size()); ++i)
-      jobs.push_back({fn, &probes[std::size_t(i)], i % pool.size()});
-    pool.run(jobs);
-    for (int i = 0; i < int(probes.size()); ++i)
-      ASSERT_EQ(probes[std::size_t(i)].seen_worker.load(), i % pool.size());
+    std::vector<std::vector<int>> expect_order(nw);
+    auto fn = +[](void* arg, int worker) {
+      auto* p = static_cast<Probe*>(arg);
+      p->worker = worker;
+      p->thread = std::this_thread::get_id();
+      p->runs.push_back(int(p->runs.size()) + 1);
+      (*p->order)[std::size_t(worker)].push_back(p->index);
+    };
+    for (int i = 0; i < kJobs; ++i) {
+      probes[std::size_t(i)] = {i, -1, {}, {}, &order};
+      // The last job names an out-of-range worker: clamped to worker 0.
+      const bool clamped = i == kJobs - 1;
+      jobs.push_back({fn, &probes[std::size_t(i)], clamped ? n + 5 : i % n});
+      expect_order[std::size_t(clamped ? 0 : i % n)].push_back(i);
+    }
+
+    for (int batch = 1; batch <= 50; ++batch) {
+      for (auto& o : order) o.clear();
+      pool.run(jobs);
+      // Each worker ran exactly its jobs, in batch order.
+      ASSERT_EQ(order, expect_order) << "batch " << batch;
+      std::vector<std::thread::id> thread_of(nw);
+      for (const Probe& p : probes) {
+        ASSERT_EQ(p.runs.size(), std::size_t(batch)) << "job " << p.index;
+        ASSERT_EQ(p.runs.back(), batch);
+        // One thread per worker; worker 0 is the caller's own thread.
+        auto& t = thread_of[std::size_t(p.worker)];
+        if (t == std::thread::id()) t = p.thread;
+        ASSERT_EQ(p.thread, t) << "job " << p.index;
+        ASSERT_EQ(p.thread == std::this_thread::get_id(), p.worker == 0);
+      }
+      for (int w = 1; w < n; ++w)
+        for (int v = 0; v < w; ++v)
+          ASSERT_NE(thread_of[std::size_t(v)], thread_of[std::size_t(w)]);
+    }
   }
-  for (auto& p : probes) EXPECT_EQ(p.runs.load(), 50);
-
-  const auto merged = pool.merged_stats();
-  EXPECT_EQ(merged.jobs, probes.size() * 50);
-  std::uint64_t per_worker = 0;
-  for (int w = 0; w < pool.size(); ++w) per_worker += pool.stats(w).jobs;
-  EXPECT_EQ(per_worker, merged.jobs);  // shards sum to the merged view
-
-  pool.reset_stats();
-  EXPECT_EQ(pool.merged_stats().jobs, 0u);
 }
 
 // ----------------------------------------------------------------------

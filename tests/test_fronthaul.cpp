@@ -198,13 +198,13 @@ TEST(Frame, UplaneBuildParseRoundTrip) {
   buf.resize(len);
   ASSERT_EQ(placed.size(), 1u);
 
-  auto frame = parse_frame(buf, ctx);
-  ASSERT_TRUE(frame.has_value());
-  ASSERT_TRUE(frame->is_uplane());
-  EXPECT_EQ(frame->eth.dst, eth.dst);
-  EXPECT_EQ(frame->ecpri.eaxc.ru_port, 2);
-  EXPECT_EQ(frame->ecpri.seq_id, 5);
-  const auto& u = frame->uplane();
+  FhFrame frame;
+  ASSERT_TRUE(parse_frame_into(buf, ctx, frame));
+  ASSERT_TRUE(frame.is_uplane());
+  EXPECT_EQ(frame.eth.dst, eth.dst);
+  EXPECT_EQ(frame.ecpri.eaxc.ru_port, 2);
+  EXPECT_EQ(frame.ecpri.seq_id, 5);
+  const auto& u = frame.uplane();
   EXPECT_EQ(u.at, hdr.at);
   ASSERT_EQ(u.sections.size(), 1u);
   EXPECT_EQ(u.sections[0].start_prb, 60);
@@ -230,10 +230,10 @@ TEST(Frame, WholeCarrierSectionUsesZeroShorthand) {
                          std::span(&sec, 1), ctx);
   ASSERT_GT(len, 0u);
   buf.resize(len);
-  auto frame = parse_frame(buf, ctx);
-  ASSERT_TRUE(frame.has_value());
-  ASSERT_EQ(frame->uplane().sections.size(), 1u);
-  EXPECT_EQ(frame->uplane().sections[0].num_prb, 273);
+  FhFrame frame;
+  ASSERT_TRUE(parse_frame_into(buf, ctx, frame));
+  ASSERT_EQ(frame.uplane().sections.size(), 1u);
+  EXPECT_EQ(frame.uplane().sections[0].num_prb, 273);
 }
 
 TEST(Frame, OversizeSectionSplitsAt255) {
@@ -253,12 +253,12 @@ TEST(Frame, OversizeSectionSplitsAt255) {
                          std::span(&sec, 1), ctx);
   ASSERT_GT(len, 0u);
   buf.resize(len);
-  auto frame = parse_frame(buf, ctx);
-  ASSERT_TRUE(frame.has_value());
-  ASSERT_EQ(frame->uplane().sections.size(), 2u);
-  EXPECT_EQ(frame->uplane().sections[0].num_prb, 255);
-  EXPECT_EQ(frame->uplane().sections[1].num_prb, 6);
-  EXPECT_EQ(frame->uplane().sections[1].start_prb, 255);
+  FhFrame frame;
+  ASSERT_TRUE(parse_frame_into(buf, ctx, frame));
+  ASSERT_EQ(frame.uplane().sections.size(), 2u);
+  EXPECT_EQ(frame.uplane().sections[0].num_prb, 255);
+  EXPECT_EQ(frame.uplane().sections[1].num_prb, 6);
+  EXPECT_EQ(frame.uplane().sections[1].start_prb, 255);
 }
 
 TEST(Frame, CplaneBuildParseRoundTrip) {
@@ -269,11 +269,11 @@ TEST(Frame, CplaneBuildParseRoundTrip) {
       buf, EthHeader{}, EaxcId{0, 0, 0, 1}, 17, m, ctx);
   ASSERT_GT(len, 0u);
   buf.resize(len);
-  auto frame = parse_frame(buf, ctx);
-  ASSERT_TRUE(frame.has_value());
-  ASSERT_TRUE(frame->is_cplane());
-  EXPECT_EQ(frame->cplane(), m);
-  EXPECT_EQ(frame->ecpri.seq_id, 17);
+  FhFrame frame;
+  ASSERT_TRUE(parse_frame_into(buf, ctx, frame));
+  ASSERT_TRUE(frame.is_cplane());
+  EXPECT_EQ(frame.cplane(), m);
+  EXPECT_EQ(frame.ecpri.seq_id, 17);
 }
 
 TEST(Frame, RewriteEthAddrsInPlace) {
@@ -283,10 +283,10 @@ TEST(Frame, RewriteEthAddrsInPlace) {
                                              sample_type1(), ctx);
   buf.resize(len);
   ASSERT_TRUE(rewrite_eth_addrs(buf, MacAddr::ru(9), MacAddr::mb(1)));
-  auto frame = parse_frame(buf, ctx);
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->eth.dst, MacAddr::ru(9));
-  EXPECT_EQ(frame->eth.src, MacAddr::mb(1));
+  FhFrame frame;
+  ASSERT_TRUE(parse_frame_into(buf, ctx, frame));
+  EXPECT_EQ(frame.eth.dst, MacAddr::ru(9));
+  EXPECT_EQ(frame.eth.src, MacAddr::mb(1));
 }
 
 TEST(Frame, RewriteEaxcInPlace) {
@@ -296,18 +296,19 @@ TEST(Frame, RewriteEaxcInPlace) {
                                              sample_type1(), ctx);
   buf.resize(len);
   ASSERT_TRUE(rewrite_eaxc(buf, EaxcId{0, 0, 0, 3}));
-  auto frame = parse_frame(buf, ctx);
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->ecpri.eaxc.ru_port, 3);
+  FhFrame frame;
+  ASSERT_TRUE(parse_frame_into(buf, ctx, frame));
+  EXPECT_EQ(frame.ecpri.eaxc.ru_port, 3);
   // The rest of the message is untouched.
-  EXPECT_EQ(frame->cplane(), sample_type1());
+  EXPECT_EQ(frame.cplane(), sample_type1());
 }
 
 TEST(Frame, RejectsNonEcpriEthertype) {
   std::vector<std::uint8_t> buf(64, 0);
   buf[12] = 0x08;  // IPv4
   buf[13] = 0x00;
-  EXPECT_FALSE(parse_frame(buf, ctx273()).has_value());
+  FhFrame frame;
+  EXPECT_FALSE(parse_frame_into(buf, ctx273(), frame));
 }
 
 /// Property: no prefix truncation of a valid frame crashes the parser,
@@ -324,9 +325,11 @@ TEST(Frame, TruncationFuzz) {
   const std::size_t len = build_uplane_frame(
       buf, EthHeader{}, EaxcId{}, 0, hdr, std::span(&sec, 1), ctx);
   buf.resize(len);
+  FhFrame frame;
   for (std::size_t cut = 0; cut < len; ++cut) {
-    auto r = parse_frame(std::span<const std::uint8_t>(buf.data(), cut), ctx);
-    EXPECT_FALSE(r.has_value()) << "accepted truncation at " << cut;
+    EXPECT_FALSE(parse_frame_into(
+        std::span<const std::uint8_t>(buf.data(), cut), ctx, frame))
+        << "accepted truncation at " << cut;
   }
 }
 
@@ -344,11 +347,12 @@ TEST(Frame, TruncationSetsTypedReason) {
   const std::size_t len = build_uplane_frame(
       buf, EthHeader{}, EaxcId{}, 0, hdr, std::span(&sec, 1), ctx);
   buf.resize(len);
+  FhFrame frame;
   for (std::size_t cut = 0; cut < len; ++cut) {
     ParseError err = ParseError::None;
-    auto r = parse_frame(std::span<const std::uint8_t>(buf.data(), cut), ctx,
-                         &err);
-    ASSERT_FALSE(r.has_value()) << "accepted truncation at " << cut;
+    ASSERT_FALSE(parse_frame_into(
+        std::span<const std::uint8_t>(buf.data(), cut), ctx, frame, &err))
+        << "accepted truncation at " << cut;
     EXPECT_NE(err, ParseError::None) << "untyped rejection at " << cut;
     EXPECT_NE(parse_error_name(err), nullptr);
     if (cut < 14) EXPECT_EQ(err, ParseError::TruncatedEth) << "at " << cut;
@@ -368,13 +372,14 @@ TEST(Frame, UnknownEcpriTypeSetsTypedReason) {
   buf.resize(len);
   // eCPRI starts after the 18-byte VLAN-tagged Ethernet header.
   buf[19] = 0x7f;  // eCPRI message type, right after the version byte
+  FhFrame frame;
   ParseError err = ParseError::None;
-  EXPECT_FALSE(parse_frame(buf, ctx, &err).has_value());
+  EXPECT_FALSE(parse_frame_into(buf, ctx, frame, &err));
   EXPECT_EQ(err, ParseError::UnknownEcpriType);
 
   buf[18] = 0x40;  // bogus eCPRI version nibble
   err = ParseError::None;
-  EXPECT_FALSE(parse_frame(buf, ctx, &err).has_value());
+  EXPECT_FALSE(parse_frame_into(buf, ctx, frame, &err));
   EXPECT_EQ(err, ParseError::BadEcpriVersion);
 }
 
@@ -392,8 +397,9 @@ TEST(Frame, SectionBeyondCarrierGridRejected) {
       buf, EthHeader{}, EaxcId{}, 0, hdr, std::span(&sec, 1), ctx);
   ASSERT_GT(len, 0u);
   buf.resize(len);
+  FhFrame frame;
   ParseError err = ParseError::None;
-  EXPECT_FALSE(parse_frame(buf, ctx, &err).has_value());
+  EXPECT_FALSE(parse_frame_into(buf, ctx, frame, &err));
   EXPECT_EQ(err, ParseError::BadSectionGeometry);
 }
 
@@ -412,12 +418,12 @@ TEST(Frame, ByteFlipFuzzAlwaysTypesRejections) {
   buf.resize(len);
   std::mt19937 rng(7);
   int rejected = 0;
+  FhFrame frame;
   for (int trial = 0; trial < 4000; ++trial) {
     auto copy = buf;
     copy[rng() % copy.size()] ^= std::uint8_t(1u << (rng() % 8));
     ParseError err = ParseError::None;
-    auto r = parse_frame(copy, ctx, &err);
-    if (!r.has_value()) {
+    if (!parse_frame_into(copy, ctx, frame, &err)) {
       ++rejected;
       EXPECT_NE(err, ParseError::None);
       EXPECT_LT(std::size_t(err), std::size_t(ParseError::kCount));
@@ -463,9 +469,9 @@ TEST(Frame, MixedWidthSectionsRoundTripPerPacketCompHdr) {
   EXPECT_EQ(placed[0].comp.iq_width, 9);
   EXPECT_EQ(placed[1].comp.iq_width, 7);
 
-  auto frame = parse_frame(buf, ctx);
-  ASSERT_TRUE(frame.has_value());
-  const auto& u = frame->uplane();
+  FhFrame frame;
+  ASSERT_TRUE(parse_frame_into(buf, ctx, frame));
+  const auto& u = frame.uplane();
   ASSERT_EQ(u.sections.size(), 2u);
   EXPECT_EQ(u.sections[0].comp.iq_width, 9);
   EXPECT_EQ(u.sections[1].comp.iq_width, 7);
@@ -519,10 +525,11 @@ TEST(Frame, ByteFlipFuzzDoesNotCrash) {
       buf, EthHeader{}, EaxcId{}, 0, hdr, std::span(&sec, 1), ctx);
   buf.resize(len);
   std::mt19937 rng(99);
+  FhFrame frame;
   for (int trial = 0; trial < 2000; ++trial) {
     auto copy = buf;
     copy[rng() % copy.size()] ^= std::uint8_t(1u << (rng() % 8));
-    (void)parse_frame(copy, ctx);  // must not crash or overread
+    (void)parse_frame_into(copy, ctx, frame);  // must not crash or overread
   }
 }
 

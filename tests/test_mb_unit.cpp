@@ -93,10 +93,10 @@ TEST(DasUnit, DownlinkReplicatesToEveryRu) {
   // One replica per RU, each addressed to its RU, payload identical.
   std::set<std::string> dsts;
   for (auto& p : out) {
-    auto f = parse_frame(p->data(), ctx);
-    ASSERT_TRUE(f.has_value());
-    dsts.insert(f->eth.dst.str());
-    EXPECT_EQ(f->uplane().sections[0].start_prb, 10);
+    FhFrame f;
+    ASSERT_TRUE(parse_frame_into(p->data(), ctx, f));
+    dsts.insert(f.eth.dst.str());
+    EXPECT_EQ(f.uplane().sections[0].start_prb, 10);
   }
   EXPECT_EQ(dsts.size(), 3u);
 }
@@ -124,10 +124,10 @@ TEST(DasUnit, UplinkMergeSumsConstituents) {
   h.rt.pump(slot, 0);
   auto out = h.drain(DasMiddlebox::kNorth);
   ASSERT_EQ(out.size(), 1u);
-  auto f = parse_frame(out[0]->data(), ctx);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->eth.dst, cfg.du_mac);
-  const auto& sec = f->uplane().sections[0];
+  FhFrame f;
+  ASSERT_TRUE(parse_frame_into(out[0]->data(), ctx, f));
+  EXPECT_EQ(f.eth.dst, cfg.du_mac);
+  const auto& sec = f.uplane().sections[0];
   std::vector<IqSample> merged(std::size_t(sec.num_prb) * kScPerPrb);
   ASSERT_TRUE(decompress_prbs(
       out[0]->data().subspan(sec.payload_offset, sec.payload_len),
@@ -183,10 +183,10 @@ TEST(DmimoUnit, DownlinkRemapsPortAndSteers) {
   h.rt.pump(0, 0);
   auto out = h.drain(DmimoMiddlebox::kSouth);
   ASSERT_EQ(out.size(), 1u);
-  auto f = parse_frame(out[0]->data(), ctx);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->eth.dst, MacAddr::ru(1));
-  EXPECT_EQ(f->ecpri.eaxc.ru_port, 1);
+  FhFrame f;
+  ASSERT_TRUE(parse_frame_into(out[0]->data(), ctx, f));
+  EXPECT_EQ(f.eth.dst, MacAddr::ru(1));
+  EXPECT_EQ(f.ecpri.eaxc.ru_port, 1);
 }
 
 TEST(DmimoUnit, UplinkRemapsBackByLayerBase) {
@@ -202,9 +202,10 @@ TEST(DmimoUnit, UplinkRemapsBackByLayerBase) {
   h.rt.pump(0, 0);
   auto out = h.drain(DmimoMiddlebox::kNorth);
   ASSERT_EQ(out.size(), 1u);
-  auto f = parse_frame(out[0]->data(), ctx);
-  EXPECT_EQ(f->ecpri.eaxc.ru_port, 3);  // base 2 + local 1
-  EXPECT_EQ(f->eth.dst, cfg.du_mac);
+  FhFrame f;
+  ASSERT_TRUE(parse_frame_into(out[0]->data(), ctx, f));
+  EXPECT_EQ(f.ecpri.eaxc.ru_port, 3);  // base 2 + local 1
+  EXPECT_EQ(f.eth.dst, cfg.du_mac);
 }
 
 TEST(PrbMonUnit, ThresholdsConfigurableViaMgmt) {
@@ -260,10 +261,10 @@ TEST(RuShareUnit, WidensOnlyFirstCplanePerSymbolRange) {
   h.rt.pump(0, 0);
   auto out = h.drain(RuShareMiddlebox::kSouth);
   ASSERT_EQ(out.size(), 1u);  // widened request forwarded
-  auto f = parse_frame(out[0]->data(), ctx100());
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->cplane().sections[0].effective_prbs(273), 273);
-  EXPECT_EQ(f->eth.dst, cfg.ru_mac);
+  FhFrame f;
+  ASSERT_TRUE(parse_frame_into(out[0]->data(), ctx100(), f));
+  EXPECT_EQ(f.cplane().sections[0].effective_prbs(273), 273);
+  EXPECT_EQ(f.eth.dst, cfg.ru_mac);
 
   h.ext[2]->send(cplane(1));  // same symbols: absorbed
   h.rt.pump(0, 0);

@@ -1,4 +1,4 @@
-// Observability subsystem: trace ring, histograms, slot budgets, the
+// Observability subsystem: trace buffer, histograms, slot budgets, the
 // serial-vs-parallel conductor trace equivalence guarantee, exporters,
 // and the telemetry interning satellites.
 #include <gtest/gtest.h>
@@ -22,7 +22,7 @@ namespace rb {
 namespace {
 
 // ----------------------------------------------------------------------
-// TraceRing
+// TraceBuffer
 // ----------------------------------------------------------------------
 
 obs::TraceEvent ev(std::int64_t ts, std::uint16_t name = 0) {
@@ -33,30 +33,30 @@ obs::TraceEvent ev(std::int64_t ts, std::uint16_t name = 0) {
 }
 
 TEST(TraceRing, FifoDrainAndOverflowDropCounting) {
-  obs::TraceRing ring(8);
-  EXPECT_EQ(ring.capacity(), 8u);
+  obs::TraceBuffer buf(8);
+  EXPECT_EQ(buf.capacity(), 8u);
 
-  for (int i = 0; i < 8; ++i) ring.push(ev(i));
-  ring.push(ev(99));  // full: dropped + counted, never blocks or overwrites
-  ring.push(ev(100));
-  EXPECT_EQ(ring.dropped(), 2u);
+  for (int i = 0; i < 8; ++i) buf.push(ev(i));
+  buf.push(ev(99));  // full: dropped + counted, never blocks or overwrites
+  buf.push(ev(100));
+  EXPECT_EQ(buf.dropped(), 2u);
 
   std::vector<obs::TraceEvent> out;
-  ring.drain(out);
+  buf.drain(out);
   ASSERT_EQ(out.size(), 8u);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(out[std::size_t(i)].ts_ns, i);
 
-  // Space reclaimed after the drain; wrap the indices well past capacity.
-  for (int i = 0; i < 200; ++i) ring.push(ev(1000 + i));
+  // Space reclaimed after the drain; overflow it again well past capacity.
+  for (int i = 0; i < 200; ++i) buf.push(ev(1000 + i));
   out.clear();
-  ring.drain(out);
+  buf.drain(out);
   ASSERT_EQ(out.size(), 8u);  // first 8 kept, the rest dropped
   for (int i = 0; i < 8; ++i) EXPECT_EQ(out[std::size_t(i)].ts_ns, 1000 + i);
-  EXPECT_EQ(ring.dropped(), 2u + 192u);
+  EXPECT_EQ(buf.dropped(), 2u + 192u);
 
   // Drain-after-drain sees nothing.
   out.clear();
-  ring.drain(out);
+  buf.drain(out);
   EXPECT_TRUE(out.empty());
 }
 
