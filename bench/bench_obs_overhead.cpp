@@ -12,10 +12,8 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
-#include "core/chain.h"
 #include "obs/export.h"
 #include "obs/obs.h"
 
@@ -24,96 +22,6 @@ namespace {
 
 constexpr int kWarmupSlots = 200;
 constexpr int kMeasureSlots = 500;
-
-/// The Figure 12 chain rig (see bench_fig12_chain.cpp, trimmed: fixed UE
-/// positions, no floor walk).
-struct ChainRig {
-  Deployment d;
-  Deployment::DuHandle du_a, du_b;
-  std::vector<Deployment::RuHandle> rus;
-
-  ChainRig() {
-    const Hertz ca = aligned_du_center_frequency(bench::kBand78Center, 273,
-                                                 106, 10, Scs::kHz30);
-    const Hertz cb = aligned_du_center_frequency(bench::kBand78Center, 273,
-                                                 106, 150, Scs::kHz30);
-    du_a = d.add_du(bench::cell_cfg(MHz(40), ca, 1), srsran_profile(), 0);
-    du_b = d.add_du(bench::cell_cfg(MHz(40), cb, 2), srsran_profile(), 1);
-    for (int i = 0; i < 4; ++i)
-      rus.push_back(d.add_ru(bench::ru_site(d.plan.ru_position(0, i), 4,
-                                            MHz(100), bench::kBand78Center),
-                             std::uint8_t(i), du_a.du->fh()));
-
-    RuShareConfig scfg;
-    scfg.ru_mac = MacAddr::mb(1);
-    scfg.ru_n_prb = 273;
-    scfg.ru_center_freq = bench::kBand78Center;
-    for (auto* duh : {&du_a, &du_b}) {
-      ShareDu sd;
-      sd.mac = duh->du->config().du_mac;
-      sd.du_id = duh->du->config().du_id;
-      sd.n_prb = duh->du->config().cell.n_prb();
-      sd.center_freq = duh->du->config().cell.center_freq;
-      sd.prb_offset = Deployment::prb_offset_in_ru(duh->du->config().cell,
-                                                   d.air.ru(rus[0].id));
-      scfg.dus.push_back(sd);
-    }
-    d.apps.push_back(std::make_unique<RuShareMiddlebox>(scfg));
-    MiddleboxRuntime::Config rc;
-    rc.name = "rushare";
-    rc.fh = du_a.du->fh();
-    rc.fh.carrier_prbs = 273;
-    d.runtimes.push_back(
-        std::make_unique<MiddleboxRuntime>(rc, *d.apps.back()));
-    MiddleboxRuntime& rushare_rt = *d.runtimes.back();
-    Port& sh_south = d.new_port("rushare.south");
-    rushare_rt.add_port("south", sh_south);
-    Port& sh_na = d.new_port("rushare.north0");
-    rushare_rt.add_port("north0", sh_na, du_a.du->fh());
-    Port& sh_nb = d.new_port("rushare.north1");
-    rushare_rt.add_port("north1", sh_nb, du_b.du->fh());
-    Port::connect(*du_a.port, sh_na, 1'000);
-    Port::connect(*du_b.port, sh_nb, 1'000);
-
-    DasConfig dcfg;
-    dcfg.du_mac = du_a.du->config().du_mac;
-    for (auto& r : rus) dcfg.ru_macs.push_back(r.mac);
-    d.apps.push_back(std::make_unique<DasMiddlebox>(dcfg));
-    MiddleboxRuntime::Config dc;
-    dc.name = "das";
-    dc.fh = du_a.du->fh();
-    dc.fh.carrier_prbs = 273;
-    d.runtimes.push_back(
-        std::make_unique<MiddleboxRuntime>(dc, *d.apps.back()));
-    MiddleboxRuntime& das_rt = *d.runtimes.back();
-    Port& das_north = d.new_port("das.north");
-    Port& das_south = d.new_port("das.south");
-    das_rt.add_port("north", das_north);
-    das_rt.add_port("south", das_south);
-    Port::connect(sh_south, das_north, ChainBuilder::kHopLatencyNs);
-
-    EmbeddedSwitch& sw = d.new_switch("fabric");
-    Port& sw_mb = sw.add_port("das");
-    Port::connect(das_south, sw_mb, 500);
-    sw.add_static_entry(dcfg.du_mac, sw_mb);
-    sw.add_static_entry(du_b.du->config().du_mac, sw_mb);
-    for (auto& r : rus) {
-      Port& sw_ru = sw.add_port("ru");
-      Port::connect(*r.port, sw_ru, 500);
-      sw.add_static_entry(r.mac, sw_ru);
-    }
-    d.engine.add_middlebox(rushare_rt);
-    d.engine.add_middlebox(das_rt);
-
-    for (auto* duh : {&du_a, &du_b}) {
-      const int off = Deployment::prb_offset_in_ru(duh->du->config().cell,
-                                                   d.air.ru(rus[0].id));
-      for (auto& r : rus) d.air.assign_ru(duh->cell, r.id, off);
-    }
-    d.add_ue(d.plan.near_ru(0, 0, 2.0), &du_a, 500, 50, 1);
-    d.add_ue(d.plan.near_ru(0, 3, 2.0), &du_b, 500, 50, 2);
-  }
-};
 
 struct Result {
   double wall_ms = 0;
@@ -124,7 +32,7 @@ struct Result {
 Result run_mode(bool obs_on) {
   auto& col = obs::Collector::instance();
   col.reset();  // both modes start from a disabled, empty collector
-  ChainRig rig;
+  bench::Fig12Chain rig;
   rig.d.engine.run_slots(kWarmupSlots);
 
   if (obs_on) {
@@ -147,7 +55,7 @@ Result run_mode(bool obs_on) {
 /// 100-slot fully-traced run; returns the Chrome-trace/Perfetto JSON.
 std::string capture_trace() {
   auto& col = obs::Collector::instance();
-  ChainRig rig;
+  bench::Fig12Chain rig;
   rig.d.engine.run_slots(kWarmupSlots);
   col.start();  // tracing on: retain the raw spans
   rig.d.engine.run_slots(100);

@@ -123,11 +123,6 @@ std::string MgmtEndpoint::handle(const std::string& cmd) {
     os << "pool_capacity=" << rt_->pool().capacity() << "\n";
     os << "pool_alloc_failures=" << rt_->pool().alloc_failures() << "\n";
     os << "pool_arena_bytes=" << rt_->pool().arena_bytes() << "\n";
-    os << "pool_shared_segments=" << rt_->pool().shared_segments() << "\n";
-    os << "pool_cow_promotions=" << rt_->pool().cow_promotions() << "\n";
-    os << "pool_replicas_zero_copy=" << rt_->pool().replicas_zero_copy()
-       << "\n";
-    os << "pool_cow_fallbacks=" << rt_->pool().cow_fallbacks() << "\n";
     return os.str();
   }
   if (verb == "prom") {
@@ -168,20 +163,10 @@ std::string MgmtEndpoint::handle(const std::string& cmd) {
     };
     hist("rb_burst_size", rt_->burst_size_hist());
     hist("rb_burst_occupancy", rt_->burst_occupancy_hist());
-    // Packet-pool zero-copy datapath stats. Scrape-only: CoW promotion
-    // and shared-segment counts depend on cross-thread release timing,
-    // so they stay out of the determinism fingerprint and save_state.
-    const auto pool_series = [&](const char* name, const char* type,
-                                 auto value) {
-      os << "# TYPE " << name << " " << type << "\n";
-      os << name << "{mb=\"" << mb << "\"" << cl << "} " << value << "\n";
-    };
-    const PacketPool& pool = rt_->pool();
-    pool_series("rb_pool_arena_bytes", "gauge", pool.arena_bytes());
-    pool_series("rb_pool_shared_segments", "gauge", pool.shared_segments());
-    pool_series("rb_pool_cow_promotions", "counter", pool.cow_promotions());
-    pool_series("rb_pool_replicas_zero_copy", "counter",
-                pool.replicas_zero_copy());
+    // Packet-pool arena size (scrape-only, outside the fingerprint).
+    os << "# TYPE rb_pool_arena_bytes gauge\n";
+    os << "rb_pool_arena_bytes{mb=\"" << mb << "\"" << cl << "} "
+       << rt_->pool().arena_bytes() << "\n";
     return os.str();
   }
   if (verb == "ctrl") {

@@ -30,16 +30,20 @@
 
 namespace rb {
 
-/// Deterministic per-operation work costs (nanoseconds). Calibrated to the
-/// FlexRAN-grade kernels of the paper's testbed so the latency/scaling
-/// results of section 6.4 reproduce; our scalar codec's real timings are
-/// reported separately by bench_fig15b. See DESIGN.md.
+/// Deterministic per-operation work costs (nanoseconds). They stand for
+/// the paper's testbed, not for the machine running the simulation:
+/// calibrated to its FlexRAN-grade kernels so the latency/scaling results
+/// of section 6.4 reproduce. Our codec's real timings are reported
+/// separately by bench_fig15b. See DESIGN.md.
 struct WorkCosts {
   double forward_ns = 80;
   double clone_per_kb_ns = 40;
   double clone_base_ns = 100;
-  /// Zero-copy replicate (refcount bump + private-head copy) - the cheap
-  /// path replication takes when the frame is payload-share eligible.
+  /// The testbed's header-split replicate (copy the headers, share the
+  /// payload), charged by MbContext::replicate for a single-section
+  /// U-plane frame whose payload runs to the end of the frame. PacketPool
+  /// deep-copies every replica; the charge models the testbed, the same
+  /// way per_prb_* model its AVX-512 kernels, not the dispatched tier.
   double replicate_ref_ns = 28;
   double cache_op_ns = 35;
   double hdr_rewrite_ns = 25;
@@ -78,7 +82,7 @@ struct FrameInfo {
   std::uint16_t start_prb = 0;  // first section's PRB range
   std::uint16_t num_prb = 0;
   std::uint16_t payload_off = 0;  // first U section's payload offset/length
-  std::uint16_t payload_len = 0;  // (zero-copy replicate eligibility)
+  std::uint16_t payload_len = 0;  // (picks the modeled A2 replicate cost)
   std::uint8_t n_sections = 0;  // saturated at 255
   std::uint8_t frag_tag = 0;  // first U section's start_prb & 0xff (DAS
                               // fragment pairing)
@@ -101,6 +105,8 @@ class MbContext {
   void drop(PacketPtr p);
 
   // --- A2: replication ----------------------------------------------
+  /// Deep copy of `p` from the runtime's pool; nullptr when exhausted.
+  /// Charges WorkCosts::replicate_ref_ns or the clone cost (see there).
   PacketPtr replicate(const Packet& p);
 
   // --- A3: caching --------------------------------------------------
@@ -238,6 +244,10 @@ class MiddleboxApp {
 /// the SlotEngine can drive it.
 class MiddleboxRuntime final : public Pumpable {
  public:
+  /// Packets in each runtime's pool. The arena is allocated untouched, so
+  /// slots cost address space until a packet first writes into them.
+  static constexpr std::size_t kPoolCapacity = 8192;
+
   struct Config {
     std::string name = "mb";
     /// Cell shard this runtime belongs to (city mode). When non-empty,
@@ -249,7 +259,6 @@ class MiddleboxRuntime final : public Pumpable {
     DriverCosts driver_costs{};
     WorkCosts work{};
     int n_workers = 1;
-    std::size_t pool_capacity = 8192;
     /// Packet-cache entry cap (0 = unbounded): under sustained loss,
     /// never-combined entries are evicted oldest-first with telemetry.
     std::size_t cache_max_entries = 4096;

@@ -40,8 +40,7 @@ void MbContext::forward(PacketPtr p, int out_port,
   const double c0 = cost_ns_;
   const std::size_t len = p->len();
   if (dst || src) {
-    // MAC rewrites land in a replica's private head - no CoW promotion.
-    rewrite_eth_addrs(p->mutable_prefix(14), dst, src);
+    rewrite_eth_addrs(p->data(), dst, src);
     cost_ns_ += rt_->cfg_.work.hdr_rewrite_ns;
   }
   cost_ns_ += rt_->cfg_.work.forward_ns;
@@ -59,24 +58,18 @@ void MbContext::drop(PacketPtr p) {
 
 PacketPtr MbContext::replicate(const Packet& p) {
   const double c0 = cost_ns_;
-  // Zero-copy eligibility: a single-section U-plane frame whose payload
-  // runs to the end of the frame. The replica then carries only the bytes
-  // up to the payload start privately (eth + eCPRI + app + section
-  // headers, the per-egress-rewritten region) and refcounts the rest.
-  // C-plane, multi-section and padded frames take the deep-copy path.
-  // Eligibility depends only on parsed frame facts, so every run of the
-  // same seed picks the same path packet-for-packet.
-  std::size_t split = 0;
-  if (info_ != nullptr && !info_->cplane && info_->n_sections == 1 &&
-      info_->payload_len > 0 &&
-      std::size_t(info_->payload_off) + info_->payload_len == p.len())
-    split = info_->payload_off;
-  PacketPtr c = split > 0 ? rt_->pool_.replicate(p, split) : rt_->pool_.clone(p);
+  PacketPtr c = rt_->pool_.clone(p);
   if (!c) {
     rt_->telemetry_.inc(rt_->hot_.replicate_failures);
     return nullptr;
   }
-  if (c->shares_payload())
+  // The testbed's A2 cost (see WorkCosts::replicate_ref_ns), decided by
+  // parsed frame facts only, so every run of a seed charges identically.
+  const bool header_split =
+      info_ != nullptr && !info_->cplane && info_->n_sections == 1 &&
+      info_->payload_len > 0 &&
+      std::size_t(info_->payload_off) + info_->payload_len == p.len();
+  if (header_split)
     cost_ns_ += rt_->cfg_.work.replicate_ref_ns;
   else
     cost_ns_ += rt_->cfg_.work.clone_base_ns +
@@ -101,9 +94,7 @@ bool MbContext::rewrite_eaxc(Packet& p, const EaxcId& eaxc) {
   const double c0 = cost_ns_;
   cost_ns_ += rt_->cfg_.work.hdr_rewrite_ns;
   trace_action(obs::kNA4Rewrite, c0);
-  // eAxC lives at most 24 bytes in (VLAN-tagged eCPRI header) - always
-  // inside a replica's private head.
-  return ::rb::rewrite_eaxc(p.mutable_prefix(24), eaxc);
+  return ::rb::rewrite_eaxc(p.data(), eaxc);
 }
 
 std::uint8_t MbContext::prb_exponent(const Packet& p, const USection& sec,
@@ -196,7 +187,7 @@ void MiddleboxApp::on_other(int in_port, PacketPtr p, MbContext& ctx) {
 // ----------------------------------------------------------------------
 
 MiddleboxRuntime::MiddleboxRuntime(Config cfg, MiddleboxApp& app)
-    : cfg_(std::move(cfg)), app_(&app), pool_(cfg_.pool_capacity) {
+    : cfg_(std::move(cfg)), app_(&app), pool_(kPoolCapacity) {
   worker_free_at_.assign(std::size_t(std::max(1, cfg_.n_workers)), 0);
   hot_ = HotCounters{
       .pkts_forwarded = telemetry_.intern("pkts_forwarded"),

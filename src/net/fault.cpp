@@ -17,7 +17,7 @@ void corrupt_payload(Packet& p, int bits, FaultRng& rng) {
   constexpr std::size_t kSkip = 12;  // dst + src MAC
   if (p.len() <= kSkip) return;
   const std::size_t span = p.len() - kSkip;
-  auto bytes = p.mutable_data();  // CoW: a shared replica privatizes first
+  auto bytes = p.data();
   for (int i = 0; i < bits; ++i) {
     const std::size_t byte = kSkip + std::size_t(rng.below(span));
     bytes[byte] ^= std::uint8_t(1u << rng.below(8));
@@ -104,9 +104,7 @@ void FaultyLink::Dir::on_tx(PacketPtr p, std::vector<PacketPtr>& out) {
   }
   PacketPtr dup;
   if (plan.duplicate > 0 && rng.uniform() < plan.duplicate) {
-    // Zero-copy alias: the duplicate shares every byte of the original's
-    // slot; a later write on either side promotes to a private copy.
-    dup = p->pool()->replicate(*p, 0);
+    dup = p->pool()->clone(*p);
     if (dup) {
       stats.duplicated++;
       note(obs::kNFaultDup, p->rx_time_ns, 0, p->len());

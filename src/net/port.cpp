@@ -75,17 +75,7 @@ void save_packet(state::StateWriter& w, const Packet& p) {
   w.i64(p.rx_time_ns);
   w.u16(p.ingress_port);
   w.u32(std::uint32_t(p.len()));
-  if (!p.shares_payload()) {
-    w.bytes(p.data());
-    return;
-  }
-  // In-flight replica: flatten to a full frame so the checkpoint is
-  // self-contained (restored packets own all their bytes) and the blob
-  // stays byte-identical to one taken from an unshared packet.
-  thread_local std::vector<std::uint8_t> flat;
-  flat.resize(p.len());
-  p.copy_to(flat);
-  w.bytes(flat);
+  w.bytes(p.data());
 }
 
 PacketPtr load_packet(state::StateReader& r, PacketPool& pool) {

@@ -46,8 +46,8 @@ void EmbeddedSwitch::on_rx(std::size_t in_port, PacketPtr p) {
     ports_[out]->send(std::move(p));
     return;
   }
-  // Flood to all ports except ingress: zero-copy alias replicas for all
-  // egresses but the last, which gets the original packet itself.
+  // Flood to all ports except ingress: clones for all egresses but the
+  // last, which gets the original packet itself.
   ++flooded_;
   std::size_t last = SIZE_MAX;
   for (std::size_t i = ports_.size(); i-- > 0;) {
@@ -59,7 +59,7 @@ void EmbeddedSwitch::on_rx(std::size_t in_port, PacketPtr p) {
   if (last == SIZE_MAX) return;  // no egress ports
   for (std::size_t i = 0; i < last; ++i) {
     if (i == in_port) continue;
-    PacketPtr copy = p->pool()->replicate(*p, 0);
+    PacketPtr copy = p->pool()->clone(*p);
     if (copy) ports_[i]->send(std::move(copy));
   }
   ports_[last]->send(std::move(p));

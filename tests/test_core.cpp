@@ -215,6 +215,72 @@ TEST(Runtime, NonFronthaulGoesToOnOther) {
   EXPECT_EQ(rig.rt.telemetry().counter("pkts_dropped"), 1u);  // default drop
 }
 
+/// Replicates each frame once and drops both copies, so a handler's whole
+/// modeled cost is its A2 charge.
+class ReplicateOnceApp final : public MiddleboxApp {
+ public:
+  std::string name() const override { return "replicate_once"; }
+  void on_frame(int, PacketPtr p, FhFrame&, MbContext& ctx) override {
+    ctx.drop(ctx.replicate(*p));
+    ctx.drop(std::move(p));
+  }
+};
+
+TEST(Runtime, ReplicateChargesModeledA2Cost) {
+  ReplicateOnceApp app;
+  MiddleboxRuntime::Config cfg;
+  cfg.name = "a2cost";
+  MiddleboxRuntime rt(cfg, app);
+  Port src{"src"}, in{"in"};
+  rt.add_port("north", in);
+  Port::connect(src, in, 0);
+  std::vector<double> costs;
+  rt.set_cost_sampler([&](const FhFrame* f, double ns) {
+    ASSERT_NE(f, nullptr);
+    costs.push_back(ns);
+  });
+  const FhContext fh;
+  const auto send = [&](std::span<const USectionData> secs) {
+    auto p = PacketPool::default_pool().alloc();
+    UPlaneMsg u;
+    u.direction = Direction::Downlink;
+    p->set_len(build_uplane_frame(p->raw(), EthHeader{}, EaxcId{}, 0, u,
+                                  secs, fh));
+    const std::size_t len = p->len();
+    src.send(std::move(p));
+    return len;
+  };
+  const std::vector<std::uint8_t> payload(fh.comp.prb_bytes() * 10, 0x5a);
+  USectionData a;
+  a.num_prb = 10;
+  a.payload = payload;
+  USectionData b = a;
+  b.section_id = 1;
+  b.start_prb = 10;
+  const USectionData two[] = {a, b};
+  send(std::span(&a, 1));
+  const std::size_t two_len = send(two);
+  auto cp = PacketPool::default_pool().alloc();
+  CPlaneMsg m;
+  m.sections.push_back({});
+  cp->set_len(build_cplane_frame(cp->raw(), EthHeader{}, EaxcId{}, 0, m, fh));
+  const std::size_t cp_len = cp->len();
+  src.send(std::move(cp));
+  ASSERT_TRUE(rt.pump(0, 0));
+
+  const WorkCosts& w = cfg.work;
+  const auto clone_cost = [&](std::size_t len) {
+    return w.clone_base_ns + w.clone_per_kb_ns * double(len) / 1024.0;
+  };
+  ASSERT_EQ(costs.size(), 3u);
+  // Single-section U-plane, payload to the end of the frame.
+  EXPECT_DOUBLE_EQ(costs[0], w.replicate_ref_ns);
+  EXPECT_DOUBLE_EQ(costs[1], clone_cost(two_len));  // two sections
+  EXPECT_DOUBLE_EQ(costs[2], clone_cost(cp_len));   // C-plane
+  EXPECT_EQ(rt.telemetry().counter("pkts_replicated"), 3u);
+  EXPECT_EQ(rt.pool().in_use(), 0u);
+}
+
 TEST(Runtime, CacheClearedAtSlotBoundary) {
   RuntimeRig rig;
   CachedPacket e;

@@ -510,7 +510,7 @@ TEST(ZeroAlloc, BurstPumpSteadyState) {
 }
 
 /// DAS-style DL fan-out: replicates every frame to three south ports and
-/// forwards the original. Exercises the zero-copy replicate path.
+/// forwards the original.
 class FanoutSouthApp final : public MiddleboxApp {
  public:
   std::string name() const override { return "fanout"; }
@@ -525,8 +525,8 @@ class FanoutSouthApp final : public MiddleboxApp {
 
 TEST(ZeroAlloc, ReplicatedDasPumpSteadyState) {
   // A warm pump whose app fans each jumbo U-plane frame out to three
-  // egresses must stay allocation-free: replicas are refcount attaches
-  // drawn from the pool magazine, not heap copies.
+  // egresses must stay allocation-free: replicas are pool packets drawn
+  // from the thread's magazine, not heap copies.
   FanoutSouthApp app;
   MiddleboxRuntime::Config cfg;
   cfg.name = "zeroalloc_rep";
@@ -538,8 +538,7 @@ TEST(ZeroAlloc, ReplicatedDasPumpSteadyState) {
   rt.add_port("south3", s3);
   Port::connect(src, in, 0);
 
-  // Jumbo single-section U-plane frame whose payload runs to the end of
-  // the frame: zero-copy replicate eligible.
+  // Jumbo single-section U-plane frame.
   FhContext fh;
   std::vector<std::uint8_t> payload(
       fh.comp.prb_bytes() * std::size_t(fh.carrier_prbs), 0x5a);
@@ -571,8 +570,6 @@ TEST(ZeroAlloc, ReplicatedDasPumpSteadyState) {
     ASSERT_TRUE(rt.pump(0, 0));
     EXPECT_EQ(allocs(), before) << "iteration " << iter;
   }
-  // Every replica took the zero-copy path.
-  EXPECT_EQ(rt.pool().replicas_zero_copy(), 8u * kBurst * 3u);
   EXPECT_EQ(rt.telemetry().counter("pkts_replicated"), 8u * kBurst * 3u);
   EXPECT_EQ(rt.pool().in_use(), 0u);
 }

@@ -72,135 +72,11 @@ PacketPtr patterned(PacketPool& pool, std::size_t split, std::size_t len) {
   return p;
 }
 
-TEST(PacketShare, ReplicateSharesPayloadAndCountsRefs) {
-  PacketPool pool(8);
-  auto p = patterned(pool, 32, 512);
-  EXPECT_EQ(p->slot_refcount(), 1u);
-  auto r = pool.replicate(*p, 32);
-  ASSERT_TRUE(r);
-  EXPECT_TRUE(r->shares_payload());
-  EXPECT_EQ(r->private_split(), 32u);
-  EXPECT_EQ(p->slot_refcount(), 2u);
-  EXPECT_EQ(pool.replicas_zero_copy(), 1u);
-  EXPECT_EQ(pool.shared_segments(), 1);
-  // Replica resolves to identical bytes: private head + shared payload.
-  EXPECT_EQ(r->len(), 512u);
-  EXPECT_EQ(r->bytes(0, 32)[0], 0x11);
-  EXPECT_EQ(r->bytes(32)[0], 0x22);
-  EXPECT_EQ(r->bytes(32).data(), p->bytes(32).data());  // genuinely shared
-  r.reset();
-  EXPECT_EQ(p->slot_refcount(), 1u);
-  EXPECT_EQ(pool.shared_segments(), 0);
-}
-
-TEST(PacketShare, ReplicaHeaderWriteStaysPrivate) {
-  PacketPool pool(8);
-  auto p = patterned(pool, 32, 512);
-  auto r = pool.replicate(*p, 32);
-  ASSERT_TRUE(r);
-  r->mutable_prefix(14)[0] = 0x77;  // MAC rewrite stays in the private head
-  EXPECT_TRUE(r->shares_payload());  // no promotion
-  EXPECT_EQ(pool.cow_promotions(), 0u);
-  EXPECT_EQ(p->data()[0], 0x11);  // source head untouched
-  EXPECT_EQ(r->data()[0], 0x77);
-}
-
-TEST(PacketShare, WriteIntoSharedRegionPromotesWriterOnly) {
-  PacketPool pool(8);
-  auto p = patterned(pool, 32, 512);
-  auto r1 = pool.replicate(*p, 32);
-  auto r2 = pool.replicate(*p, 32);
-  ASSERT_TRUE(r1 && r2);
-  EXPECT_EQ(p->slot_refcount(), 3u);
-  r1->mutable_data()[100] = 0x99;  // payload write: forces a private copy
-  EXPECT_FALSE(r1->shares_payload());
-  EXPECT_EQ(pool.cow_promotions(), 1u);
-  EXPECT_EQ(p->slot_refcount(), 2u);  // r1 detached
-  // The writer sees its write; peer replica and source see old bytes.
-  EXPECT_EQ(r1->bytes(100, 1)[0], 0x99);
-  EXPECT_EQ(r2->bytes(100, 1)[0], 0x22);
-  EXPECT_EQ(p->bytes(100, 1)[0], 0x22);
-}
-
-TEST(PacketShare, OwnerWriteCopiesOutLeavingReplicaSnapshot) {
-  PacketPool pool(8);
-  auto p = patterned(pool, 32, 512);
-  auto r = pool.replicate(*p, 32);
-  ASSERT_TRUE(r);
-  p->mutable_data()[200] = 0xee;  // owner writes into the shared region
-  EXPECT_EQ(pool.cow_promotions(), 1u);
-  EXPECT_EQ(p->bytes(200, 1)[0], 0xee);
-  EXPECT_EQ(r->bytes(200, 1)[0], 0x22);  // replica keeps its snapshot
-}
-
-TEST(PacketShare, AliasSharesEveryByte) {
-  PacketPool pool(8);
-  auto p = patterned(pool, 32, 512);
-  auto a = pool.replicate(*p, 0);
-  ASSERT_TRUE(a);
-  EXPECT_TRUE(a->shares_payload());
-  EXPECT_EQ(a->private_split(), 0u);
-  EXPECT_EQ(a->data().data(), p->data().data());  // same underlying slot
-  EXPECT_EQ(a->data()[0], 0x11);
-  a->mutable_prefix(14)[0] = 0x55;  // any write promotes the whole frame
-  EXPECT_FALSE(a->shares_payload());
-  EXPECT_EQ(a->data()[0], 0x55);
-  EXPECT_EQ(a->data()[511], 0x22);  // tail copied before the write
-  EXPECT_EQ(p->data()[0], 0x11);
-}
-
-TEST(PacketShare, OwnerDiesBeforeReplica) {
-  PacketPool pool(4);
-  auto p = patterned(pool, 32, 512);
-  auto r = pool.replicate(*p, 32);
-  ASSERT_TRUE(r);
-  p.reset();  // owner gone; segment must outlive it
-  EXPECT_EQ(pool.in_use(), 1u);
-  EXPECT_EQ(r->bytes(32)[0], 0x22);
-  EXPECT_EQ(r->bytes(0, 32)[0], 0x11);
-  r.reset();
-  EXPECT_EQ(pool.in_use(), 0u);
-  // Every pair must be whole again: the full capacity allocates.
-  std::vector<PacketPtr> all;
-  for (std::size_t i = 0; i < pool.capacity(); ++i) {
-    all.push_back(pool.alloc());
-    ASSERT_TRUE(all.back());
-  }
-}
-
-TEST(PacketShare, CloneAndCopyToFlattenReplicas) {
-  PacketPool pool(8);
-  auto p = patterned(pool, 32, 512);
-  auto r = pool.replicate(*p, 32);
-  ASSERT_TRUE(r);
-  auto flat = pool.clone(*r);
-  ASSERT_TRUE(flat);
-  EXPECT_FALSE(flat->shares_payload());
-  EXPECT_EQ(flat->data()[0], 0x11);
-  EXPECT_EQ(flat->data()[100], 0x22);
-  std::vector<std::uint8_t> out(r->len());
-  r->copy_to(out);
-  EXPECT_EQ(out[0], 0x11);
-  EXPECT_EQ(out[511], 0x22);
-}
-
-TEST(PacketShare, ReplicaOfReplicaAttachesToRootSegment) {
-  PacketPool pool(8);
-  auto p = patterned(pool, 32, 512);
-  auto r1 = pool.replicate(*p, 32);
-  ASSERT_TRUE(r1);
-  r1->mutable_prefix(14)[0] = 0x77;  // per-egress rewrite in r1's head
-  auto r2 = pool.replicate(*r1, 32);
-  ASSERT_TRUE(r2);
-  EXPECT_EQ(p->slot_refcount(), 3u);  // both replicas reference the root
-  EXPECT_EQ(r2->data()[0], 0x77);     // r2 sees r1's rewritten head
-  EXPECT_EQ(r2->bytes(32).data(), p->bytes(32).data());
-}
-
 TEST(PacketPoolShared, CrossThreadReplicaSoak) {
-  // Replicas die on different threads than their segment owners: one
-  // producer fans each frame out to N consumer threads, which read the
-  // shared payload and release. TSan-checked in CI.
+  // Packets die on different threads than the one that allocated them:
+  // one producer fans each frame out to N consumer threads (deep-clone
+  // replicas, the original moved to the last one, as switch flooding
+  // does), which read, write and release. TSan-checked in CI.
   constexpr int kConsumers = 3;
   constexpr int kRounds = 2000;
   PacketPool pool(256);
@@ -223,7 +99,7 @@ TEST(PacketPoolShared, CrossThreadReplicaSoak) {
         }
         if (p) {
           local += p->bytes(32)[0] + p->bytes(0, 32)[0];
-          if ((local & 7) == 0) p->mutable_data()[40] ^= 0x1;  // force CoW
+          p->data()[40] ^= 0x1;  // every replica owns its bytes
         } else if (done.load(std::memory_order_acquire)) {
           break;
         } else {
@@ -238,7 +114,7 @@ TEST(PacketPoolShared, CrossThreadReplicaSoak) {
     auto p = patterned(pool, 32, 256);
     ASSERT_TRUE(p);
     for (int c = 0; c < kConsumers; ++c) {
-      auto r = pool.replicate(*p, 32);
+      PacketPtr r = c + 1 < kConsumers ? pool.clone(*p) : std::move(p);
       ASSERT_TRUE(r);
       for (;;) {
         {
@@ -251,14 +127,12 @@ TEST(PacketPoolShared, CrossThreadReplicaSoak) {
         std::this_thread::yield();
       }
     }
-    // Alternate who holds the segment longest.
-    if (i & 1) p.reset();
   }
   done.store(true, std::memory_order_release);
   for (auto& t : consumers) t.join();
   EXPECT_EQ(pool.in_use(), 0u);
   EXPECT_GT(sum.load(), 0u);
-  // Pool integrity after all the re-pairing churn.
+  // Pool integrity after the cross-thread release churn.
   std::vector<PacketPtr> all;
   for (std::size_t i = 0; i < pool.capacity(); ++i) {
     all.push_back(pool.alloc());
@@ -357,7 +231,7 @@ TEST(EmbeddedSwitch, LearnsAndForwards) {
   EXPECT_GE(sw.forwarded(), 2u);
 }
 
-TEST(EmbeddedSwitch, FloodSendsAliasReplicasAndMovesOriginalToLast) {
+TEST(EmbeddedSwitch, FloodCopiesAndMovesOriginalToLast) {
   EmbeddedSwitch sw("sw");
   Port e1("e1"), e2("e2"), e3("e3");
   Port::connect(e1, sw.add_port("p1"), 0);
@@ -366,13 +240,11 @@ TEST(EmbeddedSwitch, FloodSendsAliasReplicasAndMovesOriginalToLast) {
   const std::size_t before = PacketPool::default_pool().in_use();
   e1.send(frame_to(MacAddr::ru(9), MacAddr::du(8)));
   // Two egress ports, but only one extra buffer: the original moved to
-  // the last port and the other got a zero-copy alias.
+  // the last port and the other got a copy.
   EXPECT_EQ(PacketPool::default_pool().in_use(), before + 2);
   std::vector<PacketPtr> rx2, rx3;
   ASSERT_EQ(e2.rx_burst(rx2), 1u);
   ASSERT_EQ(e3.rx_burst(rx3), 1u);
-  EXPECT_TRUE(rx2[0]->shares_payload());   // alias replica
-  EXPECT_FALSE(rx3[0]->shares_payload());  // the original itself
   EXPECT_EQ(rx2[0]->data()[0], rx3[0]->data()[0]);
   EXPECT_EQ(rx2[0]->len(), rx3[0]->len());
 }
