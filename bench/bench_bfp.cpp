@@ -97,15 +97,13 @@ void BM_MergePayloads(benchmark::State& state) {
   auto samples = make_samples(n_prb, 4);
   std::vector<std::uint8_t> comp(cfg.prb_bytes() * std::size_t(n_prb));
   compress_prbs(IqConstSpan(samples.data(), samples.size()), cfg, comp);
-  std::vector<std::span<const std::uint8_t>> srcs;
-  srcs.assign(std::size_t(n_rus), std::span<const std::uint8_t>(comp));
+  const std::vector<std::span<const std::uint8_t>> srcs(
+      std::size_t(n_rus), std::span<const std::uint8_t>{comp});
+  const std::vector<CompConfig> cfgs(std::size_t(n_rus), cfg);
   std::vector<std::uint8_t> dst(comp.size());
   PrbScratch scratch;
   for (auto _ : state) {
-    auto r = merge_compressed(
-        std::span<const std::span<const std::uint8_t>>(srcs.data(),
-                                                       srcs.size()),
-        n_prb, cfg, dst, scratch);
+    auto r = merge_compressed(srcs, cfgs, n_prb, cfg, dst, scratch);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * n_prb);
@@ -175,7 +173,7 @@ int run_kernel_gate(const std::string& json_path) {
   std::vector<TierRow> rows;
   std::vector<KernelTier> tiers;
   for (std::size_t t = 0; t < kKernelTierCount; ++t)
-    if (iq_tier_available(KernelTier(t))) tiers.push_back(KernelTier(t));
+    if (iq_ops_for(KernelTier(t)) != nullptr) tiers.push_back(KernelTier(t));
 
   std::printf("\nper-kernel-tier codec throughput (%d PRBs)\n", kGatePrbs);
   std::printf("%-8s %6s | %16s %16s\n", "tier", "width", "compress PRB/s",

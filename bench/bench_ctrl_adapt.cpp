@@ -55,7 +55,7 @@ struct Result {
 
 Result run(bool adaptive) {
   Deployment d;
-  CellConfig c = bench::cell_cfg(MHz(100), bench::kBand78Center, 1);
+  CellConfig c = bench::cell_cfg(MHz(100), kBand78Center, 1);
   auto du = d.add_du(c, srsran_profile(), 0);
   std::vector<Deployment::RuHandle> rus;
   std::vector<Deployment::RuHandle*> ptrs;

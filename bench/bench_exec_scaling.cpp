@@ -31,7 +31,7 @@ std::unique_ptr<city::City> build(int workers) {
   for (int cell = 0; cell < kCells; ++cell) {
     Deployment& d = *c->add_cell("c" + std::to_string(cell)).dep;
     const CellConfig cfg = bench::cell_cfg(
-        MHz(100), bench::kBand78Center + MHz(120) * cell,
+        MHz(100), kBand78Center + MHz(120) * cell,
         std::uint16_t(cell + 1));
     auto du = d.add_du(cfg, srsran_profile(), std::uint8_t(cell));
     std::vector<Deployment::RuHandle> rus;

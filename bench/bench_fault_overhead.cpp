@@ -30,7 +30,7 @@ struct Result {
 
 Result run_mode(const std::string& label, FaultMode mode) {
   Deployment d;
-  CellConfig c = bench::cell_cfg(MHz(100), bench::kBand78Center, 1);
+  CellConfig c = bench::cell_cfg(MHz(100), kBand78Center, 1);
   auto du = d.add_du(c, srsran_profile(), 0);
   std::vector<Deployment::RuHandle> rus;
   std::vector<Deployment::RuHandle*> ptrs;

@@ -1,7 +1,8 @@
 // Figure 12: chaining the RU-sharing and DAS middleboxes to host two
 // mobile network operators (40 MHz each) over the same four shared
 // 100 MHz RUs with seamless floor coverage (~350 Mbps per MNO UE). The
-// chain itself is bench::Fig12Chain (bench_util.h).
+// chain itself is rb::Fig12Chain (sim/fig12_chain.h). Exits 1 when the
+// UEs do not attach through the chain.
 #include <chrono>
 #include <cstdio>
 #include <utility>
@@ -9,31 +10,25 @@
 
 #include "bench_util.h"
 #include "iq/kernels/kernels.h"
+#include "sim/fig12_chain.h"
 
 int main() {
   using namespace rb::bench;
   header("Figure 12 - RU sharing + DAS chain: two MNOs, seamless coverage",
          "SIGCOMM'25 RANBooster section 6.3.2, Figure 12");
-  Fig12Chain rig;
+  rb::Fig12Chain rig;
   const bool attached = rig.d.attach_all(900);
   row("both MNO UEs attached through the chain: %s",
       attached ? "yes" : "NO");
   // Walk both UEs across the floor, measuring at each point.
-  const auto route = rig.d.plan.walk_route(0, 8, 2);
+  const auto points = rig.walk();
   double mean_a = 0, mean_b = 0;
   row("%8s %8s | %12s %12s", "x (m)", "y (m)", "MNO-A Mbps", "MNO-B Mbps");
-  for (const auto& pos : route) {
-    rig.d.air.set_ue_position(rig.ue_a, pos);
-    rb::Position pb = pos;
-    pb.y = rig.d.plan.depth_m - pos.y;
-    rig.d.air.set_ue_position(rig.ue_b, pb);
-    rig.d.engine.run_slots(80);
-    rig.d.measure(160);
-    const double a = rig.d.dl_mbps(rig.ue_a);
-    const double b = rig.d.dl_mbps(rig.ue_b);
-    row("%8.1f %8.1f | %12.1f %12.1f", pos.x, pos.y, a, b);
-    mean_a += a / double(route.size());
-    mean_b += b / double(route.size());
+  for (const auto& p : points) {
+    row("%8.1f %8.1f | %12.1f %12.1f", p.pos.x, p.pos.y, p.mbps_a,
+        p.mbps_b);
+    mean_a += p.mbps_a / double(points.size());
+    mean_b += p.mbps_b / double(points.size());
   }
   row("mean across floor: MNO-A %.1f Mbps, MNO-B %.1f Mbps "
       "(paper: ~350 Mbps each)", mean_a, mean_b);
@@ -51,8 +46,7 @@ int main() {
   std::vector<std::pair<const char*, double>> tier_sps;
   for (std::size_t t = 0; t < rb::kKernelTierCount; ++t) {
     const auto tier = rb::KernelTier(t);
-    if (!rb::iq_tier_available(tier)) continue;
-    rb::iq_force_tier(tier);
+    if (!rb::iq_force_tier(tier)) continue;
     rig.d.engine.run_slots(20);  // warm the tier's code paths
     const auto t0 = std::chrono::steady_clock::now();
     rig.d.engine.run_slots(160);
@@ -86,5 +80,5 @@ int main() {
     std::fclose(f);
     row("wrote BENCH_fig12_chain.json");
   }
-  return 0;
+  return attached ? 0 : 1;
 }

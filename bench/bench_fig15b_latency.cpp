@@ -71,17 +71,15 @@ double real_merge_us(int n_rus) {
   }
   std::vector<std::uint8_t> comp(cfg.prb_bytes() * std::size_t(n_prb));
   compress_prbs(IqConstSpan(samples.data(), samples.size()), cfg, comp);
-  std::vector<std::span<const std::uint8_t>> srcs;
-  srcs.assign(std::size_t(n_rus), std::span<const std::uint8_t>(comp));
+  const std::vector<std::span<const std::uint8_t>> srcs(
+      std::size_t(n_rus), std::span<const std::uint8_t>{comp});
+  const std::vector<CompConfig> cfgs(std::size_t(n_rus), cfg);
   std::vector<std::uint8_t> dst(comp.size());
   PrbScratch scratch;
   const int iters = 50;
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i)
-    merge_compressed(
-        std::span<const std::span<const std::uint8_t>>(srcs.data(),
-                                                       srcs.size()),
-        n_prb, cfg, dst, scratch);
+    merge_compressed(srcs, cfgs, n_prb, cfg, dst, scratch);
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::micro>(t1 - t0).count() / iters;
 }

@@ -16,6 +16,7 @@
 #include "bench_util.h"
 #include "obs/export.h"
 #include "obs/obs.h"
+#include "sim/fig12_chain.h"
 
 namespace rb {
 namespace {
@@ -32,7 +33,7 @@ struct Result {
 Result run_mode(bool obs_on) {
   auto& col = obs::Collector::instance();
   col.reset();  // both modes start from a disabled, empty collector
-  bench::Fig12Chain rig;
+  Fig12Chain rig;
   rig.d.engine.run_slots(kWarmupSlots);
 
   if (obs_on) {
@@ -55,7 +56,7 @@ Result run_mode(bool obs_on) {
 /// 100-slot fully-traced run; returns the Chrome-trace/Perfetto JSON.
 std::string capture_trace() {
   auto& col = obs::Collector::instance();
-  bench::Fig12Chain rig;
+  Fig12Chain rig;
   rig.d.engine.run_slots(kWarmupSlots);
   col.start();  // tracing on: retain the raw spans
   rig.d.engine.run_slots(100);

@@ -32,13 +32,13 @@ struct Rig {
   std::vector<UeId> ues;
 
   Rig(Deployment& dep, std::uint64_t seed) : d(dep) {
-    du = d.add_du(bench::cell_cfg(MHz(100), bench::kBand78Center, 1),
+    du = d.add_du(bench::cell_cfg(MHz(100), kBand78Center, 1),
                   srsran_profile(), 0);
     std::vector<Deployment::RuHandle*> ptrs;
     for (int f = 0; f < kFloors; ++f) {
       rus.push_back(d.add_ru(
           bench::ru_site(d.plan.ru_position(f, 1), 4, MHz(100),
-                         bench::kBand78Center),
+                         kBand78Center),
           std::uint8_t(f), du.du->fh()));
     }
     for (auto& r : rus) ptrs.push_back(&r);

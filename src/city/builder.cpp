@@ -40,7 +40,7 @@ std::unique_ptr<City> build_city(const CityConfig& cfg) {
     throw std::runtime_error("build_city: neutral_host needs n_cells >= 2");
   auto city = std::make_unique<City>(cfg.workers, cfg.scs);
   const VendorProfile vendor = srsran_profile();
-  const Hertz shared_center = GHz(3) + MHz(460);
+  const Hertz shared_center = kBand78Center;
   const int shared_prbs = prbs_for_bandwidth(MHz(100), cfg.scs);
   const int cell_prbs = prbs_for_bandwidth(MHz(40), cfg.scs);
 

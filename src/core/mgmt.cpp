@@ -110,7 +110,7 @@ std::string MgmtEndpoint::handle(const std::string& cmd) {
     os << "iq_kernel_available=";
     bool first = true;
     for (std::size_t t = 0; t < kKernelTierCount; ++t) {
-      if (!iq_tier_available(KernelTier(t))) continue;
+      if (iq_ops_for(KernelTier(t)) == nullptr) continue;
       os << (first ? "" : ",") << kernel_tier_name(KernelTier(t));
       first = false;
     }

@@ -122,14 +122,10 @@ class MbContext {
   bool rewrite_eaxc(Packet& p, const EaxcId& eaxc);
   /// BFP exponent of one PRB of a U-plane section (no decompression).
   std::uint8_t prb_exponent(const Packet& p, const USection& sec, int prb);
-  /// Element-wise merge of N compressed section payloads into `dst`
-  /// (decompress + sum + recompress). Returns bytes written, 0 on error.
-  std::size_t merge_payloads(
-      std::span<const std::span<const std::uint8_t>> srcs, int n_prb,
-      const CompConfig& cfg, std::span<std::uint8_t> dst);
-  /// Mixed-width merge: each source decoded at its own per-packet
-  /// udCompHdr config, recompressed at `dst_cfg` (the width the merged
-  /// frame's header advertises).
+  /// Element-wise merge of N compressed section payloads into `dst`:
+  /// each source decoded at its own per-packet udCompHdr config, summed,
+  /// and recompressed at `dst_cfg` (the width the merged frame's header
+  /// advertises). Returns bytes written, 0 on error.
   std::size_t merge_payloads(
       std::span<const std::span<const std::uint8_t>> srcs,
       std::span<const CompConfig> src_cfgs, int n_prb,
@@ -353,8 +349,7 @@ class MiddleboxRuntime final : public Pumpable {
   };
 
   /// Parse one received frame into `out` through the per-port fronthaul
-  /// context; on reject, counts the typed reason and (under
-  /// RB_DEBUG_PARSE) dumps the head of the frame. The single
+  /// context; on reject, counts the typed reason. The single
   /// parse-and-reject integration point for the burst path and for cache
   /// re-parse on state restore.
   bool parse_rx_frame(int in_port, const Packet& p, FhFrame& out,

@@ -1,8 +1,6 @@
 #include "core/middlebox.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "iq/prb.h"
 #include "obs/obs.h"
@@ -104,18 +102,6 @@ std::uint8_t MbContext::prb_exponent(const Packet& p, const USection& sec,
       sec.payload_offset + std::size_t(prb) * sec.comp.prb_bytes();
   if (off >= p.len()) return 0;
   return bfp_wire_exponent(p.bytes(off));
-}
-
-std::size_t MbContext::merge_payloads(
-    std::span<const std::span<const std::uint8_t>> srcs, int n_prb,
-    const CompConfig& cfg, std::span<std::uint8_t> dst) {
-  const double c0 = cost_ns_;
-  cost_ns_ += double(n_prb) *
-              (rt_->cfg_.work.per_prb_decompress_ns * double(srcs.size()) +
-               rt_->cfg_.work.per_prb_compress_ns);
-  rt_->telemetry_.inc(rt_->hot_.iq_merges);
-  trace_action(obs::kNA4Merge, c0, std::uint64_t(n_prb));
-  return merge_compressed(srcs, n_prb, cfg, dst, g_scratch);
 }
 
 std::size_t MbContext::merge_payloads(
@@ -274,13 +260,6 @@ bool MiddleboxRuntime::parse_rx_frame(int in_port, const Packet& p,
     return true;
   if (perr != ParseError::None && perr < ParseError::kCount)
     telemetry_.inc(hot_.parse_reject[std::size_t(perr)]);
-  if (getenv("RB_DEBUG_PARSE")) {
-    auto d = p.data();
-    fprintf(stderr, "[parsefail] len=%zu bytes:", d.size());
-    for (std::size_t i = 0; i < 48 && i < d.size(); ++i)
-      fprintf(stderr, " %02x", d[i]);
-    fprintf(stderr, "\n");
-  }
   return false;
 }
 

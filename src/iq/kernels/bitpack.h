@@ -1,4 +1,4 @@
-// Word-at-a-time MSB-first bit packing shared by the SIMD kernel tiers.
+// Word-at-a-time MSB-first bit packing for the AVX2 kernel tier.
 //
 // The generic BitWriter/BitReader in common/bytes.h insert one byte
 // fragment per iteration; these helpers keep a 64-bit accumulator and emit

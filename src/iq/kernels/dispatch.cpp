@@ -1,62 +1,31 @@
 // Kernel tier selection. One atomic pointer swap at first use; the hot
 // path pays a single relaxed load per call site after that.
 #include <atomic>
-#include <cstdlib>
 
 #include "common/iq_stats.h"
-#include "common/log.h"
 #include "iq/kernels/tiers.h"
 
 namespace rb {
 namespace {
 
 using iqk::avx2_ops;
-using iqk::neon_ops;
 using iqk::scalar_ops;
-using iqk::sse42_ops;
-
-bool cpu_supports(KernelTier t) {
-  switch (t) {
-    case KernelTier::Scalar:
-      return true;
-#if defined(__x86_64__) || defined(__i386__)
-    case KernelTier::Sse42:
-      return __builtin_cpu_supports("sse4.2");
-    case KernelTier::Avx2:
-      return __builtin_cpu_supports("avx2");
-#else
-    case KernelTier::Sse42:
-    case KernelTier::Avx2:
-      return false;
-#endif
-    case KernelTier::Neon:
-      // NEON has no runtime probe here: when the tier is compiled in
-      // (ARM build with __ARM_NEON) the baseline ISA already includes it.
-      return neon_ops() != nullptr;
-  }
-  return false;
-}
 
 const IqKernelOps* table_for(KernelTier t) {
-  if (!cpu_supports(t)) return nullptr;
   switch (t) {
     case KernelTier::Scalar:
       return scalar_ops();
-    case KernelTier::Sse42:
-      return sse42_ops();
     case KernelTier::Avx2:
-      return avx2_ops();
-    case KernelTier::Neon:
-      return neon_ops();
+#if defined(__x86_64__) || defined(__i386__)
+      if (__builtin_cpu_supports("avx2")) return avx2_ops();
+#endif
+      return nullptr;
   }
   return nullptr;
 }
 
-const IqKernelOps* best_available() {
-  for (KernelTier t :
-       {KernelTier::Avx2, KernelTier::Sse42, KernelTier::Neon}) {
-    if (const IqKernelOps* ops = table_for(t)) return ops;
-  }
+const IqKernelOps* select_ops() {
+  if (const IqKernelOps* ops = table_for(KernelTier::Avx2)) return ops;
   return scalar_ops();
 }
 
@@ -64,21 +33,6 @@ void record_tier(const IqKernelOps* ops) {
   iqstats::kernel_tier().store(int(ops->tier), std::memory_order_relaxed);
   iqstats::kernel_tier_label().store(kernel_tier_name(ops->tier),
                                      std::memory_order_relaxed);
-}
-
-const IqKernelOps* select_ops() {
-  if (const char* env = std::getenv("RB_IQ_KERNEL"); env != nullptr) {
-    if (auto t = parse_kernel_tier(env)) {
-      if (const IqKernelOps* ops = table_for(*t)) return ops;
-      RB_WARN("RB_IQ_KERNEL=%s not available on this host, using best tier",
-              env);
-    } else {
-      RB_WARN("RB_IQ_KERNEL=%s not recognized (scalar|sse42|avx2|neon), "
-              "using best tier",
-              env);
-    }
-  }
-  return best_available();
 }
 
 std::atomic<const IqKernelOps*>& active_ops() {
@@ -92,22 +46,10 @@ const char* kernel_tier_name(KernelTier t) {
   switch (t) {
     case KernelTier::Scalar:
       return "scalar";
-    case KernelTier::Sse42:
-      return "sse42";
     case KernelTier::Avx2:
       return "avx2";
-    case KernelTier::Neon:
-      return "neon";
   }
   return "unknown";
-}
-
-std::optional<KernelTier> parse_kernel_tier(std::string_view name) {
-  if (name == "scalar") return KernelTier::Scalar;
-  if (name == "sse42" || name == "sse4.2") return KernelTier::Sse42;
-  if (name == "avx2") return KernelTier::Avx2;
-  if (name == "neon") return KernelTier::Neon;
-  return std::nullopt;
 }
 
 const IqKernelOps& iq_ops() {
@@ -126,8 +68,6 @@ const IqKernelOps& iq_ops() {
 }
 
 KernelTier iq_kernel_tier() { return iq_ops().tier; }
-
-bool iq_tier_available(KernelTier t) { return table_for(t) != nullptr; }
 
 const IqKernelOps* iq_ops_for(KernelTier t) { return table_for(t); }
 

@@ -2,24 +2,20 @@
 //
 // The BFP codec and the U-plane combine dominate per-packet cost on the
 // fronthaul datapath (the paper's Fig. 12/15 microbenchmarks). This layer
-// provides one scalar reference implementation plus CPU-specific variants
-// (SSE4.2, AVX2, NEON-guarded) selected once at startup via CPUID, in the
-// spirit of DPDK's vectorized rx/tx paths.
+// provides two tiers: the scalar reference implementation and an AVX2
+// variant, selected once at startup via CPUID in the spirit of DPDK's
+// vectorized rx/tx paths.
 //
 // Contract: every tier is bit-exact against the scalar reference for every
 // input. This is what keeps serial-vs-parallel determinism and obs trace
 // equality intact no matter which tier the host selects: a kernel is an
 // implementation detail, never an observable behaviour change.
 //
-// Selection order: RB_IQ_KERNEL env override (scalar|sse42|avx2|neon, with
-// fallback to the best available tier when the requested one is not
-// supported) > AVX2 > SSE4.2 > NEON > scalar.
+// Selection: AVX2 when the CPU supports it, otherwise scalar.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 #include "iq/iq.h"
 
@@ -28,15 +24,11 @@ namespace rb {
 static_assert(sizeof(IqSample) == 4 && alignof(IqSample) == 2,
               "kernels reinterpret IqSample[] as a packed int16 stream");
 
-/// Dispatch tiers, ordered by preference within an ISA family.
-enum class KernelTier : std::uint8_t { Scalar = 0, Sse42 = 1, Avx2 = 2, Neon = 3 };
-inline constexpr std::size_t kKernelTierCount = 4;
+/// Dispatch tiers; the higher one is preferred when the CPU supports it.
+enum class KernelTier : std::uint8_t { Scalar = 0, Avx2 = 1 };
+inline constexpr std::size_t kKernelTierCount = 2;
 
 const char* kernel_tier_name(KernelTier t);
-
-/// Parse a RB_IQ_KERNEL-style tier name ("scalar", "sse42", "avx2",
-/// "neon"); nullopt for anything else.
-std::optional<KernelTier> parse_kernel_tier(std::string_view name);
 
 /// One tier's kernel table. All functions share the scalar reference
 /// semantics exactly (see scalar.cpp, the executable specification).
@@ -76,18 +68,16 @@ struct IqKernelOps {
   void (*synth_noise_prb)(std::uint32_t* rng, std::int32_t a, IqSample* out);
 };
 
-/// The active kernel table. First call selects a tier (env override, then
-/// best supported) and records it in rb::iqstats for telemetry.
+/// The active kernel table. First call selects the best tier this CPU
+/// supports and records it in rb::iqstats for telemetry.
 const IqKernelOps& iq_ops();
 
 /// Tier of the active table.
 KernelTier iq_kernel_tier();
 
-/// True when `t` is both compiled in and supported by this CPU.
-bool iq_tier_available(KernelTier t);
-
-/// Kernel table of a specific tier, or nullptr when unavailable. Used by
-/// the equivalence tests and the per-tier benchmarks.
+/// Kernel table of a specific tier, or nullptr when it is not compiled in
+/// or not supported by this CPU. Used by the equivalence tests and the
+/// per-tier benchmarks.
 const IqKernelOps* iq_ops_for(KernelTier t);
 
 /// Force the active tier (tests/benchmarks only; call from one thread

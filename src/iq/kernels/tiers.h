@@ -1,7 +1,7 @@
 // Internal: per-tier kernel table factories wired up by dispatch.cpp.
 //
-// Each factory returns nullptr when its tier is not compiled into this
-// binary (wrong ISA family); CPU feature checks happen in dispatch.cpp.
+// avx2_ops() returns nullptr when the tier is not compiled into this
+// binary (non-x86 build); the CPU feature check happens in dispatch.cpp.
 #pragma once
 
 #include "iq/kernels/kernels.h"
@@ -9,8 +9,6 @@
 namespace rb::iqk {
 
 const IqKernelOps* scalar_ops();  // always available
-const IqKernelOps* sse42_ops();   // x86 only
 const IqKernelOps* avx2_ops();    // x86 only
-const IqKernelOps* neon_ops();    // aarch64/arm only
 
 }  // namespace rb::iqk

@@ -7,24 +7,6 @@
 namespace rb {
 
 std::size_t merge_compressed(std::span<const std::span<const std::uint8_t>> srcs,
-                             int n_prb, const CompConfig& cfg,
-                             std::span<std::uint8_t> dst, PrbScratch& scratch) {
-  if (srcs.empty() || n_prb <= 0) return 0;
-  const std::size_t n_samples = std::size_t(n_prb) * kScPerPrb;
-  scratch.ensure(n_samples);
-  IqSpan acc(scratch.a.data(), n_samples);
-  IqSpan tmp(scratch.b.data(), n_samples);
-
-  if (!decompress_prbs(srcs[0], n_prb, cfg, acc)) return 0;
-  for (std::size_t s = 1; s < srcs.size(); ++s) {
-    if (!decompress_prbs(srcs[s], n_prb, cfg, tmp)) return 0;
-    iq_ops().accumulate_sat(acc.data(), tmp.data(), n_samples);
-  }
-  auto written = compress_prbs(IqConstSpan(acc.data(), n_samples), cfg, dst);
-  return written.value_or(0);
-}
-
-std::size_t merge_compressed(std::span<const std::span<const std::uint8_t>> srcs,
                              std::span<const CompConfig> src_cfgs, int n_prb,
                              const CompConfig& dst_cfg,
                              std::span<std::uint8_t> dst, PrbScratch& scratch) {

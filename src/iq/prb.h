@@ -3,7 +3,8 @@
 // These are the A4 (payload modification) primitives the reference
 // middleboxes use:
 //  * merge_compressed  - DAS uplink: element-wise sum of N compressed
-//    payloads (decompress -> accumulate -> recompress).
+//    payloads (decompress each at its own width -> accumulate ->
+//    recompress).
 //  * copy_prbs_aligned - RU sharing with aligned grids: move whole
 //    compressed PRBs between payloads without touching mantissas.
 //  * copy_prbs_shifted - RU sharing with misaligned grids: the samples must
@@ -37,15 +38,10 @@ struct PrbScratch {
 };
 
 /// Element-wise sum of `srcs` compressed payloads covering `n_prb` PRBs
-/// each, recompressed into `dst`. Returns bytes written or 0 on error.
-std::size_t merge_compressed(std::span<const std::span<const std::uint8_t>> srcs,
-                             int n_prb, const CompConfig& cfg,
-                             std::span<std::uint8_t> dst, PrbScratch& scratch);
-
-/// Mixed-width merge: each source payload is decoded at its own
-/// CompConfig (per-packet udCompHdr) and the sum is recompressed at
-/// `dst_cfg`. `src_cfgs.size()` must equal `srcs.size()`. Returns bytes
-/// written or 0 on error.
+/// each. Each source is decoded at its own CompConfig (per-packet
+/// udCompHdr) and the sum is recompressed at `dst_cfg` into `dst`.
+/// `src_cfgs.size()` must equal `srcs.size()`. Returns bytes written or 0
+/// on error.
 std::size_t merge_compressed(std::span<const std::span<const std::uint8_t>> srcs,
                              std::span<const CompConfig> src_cfgs, int n_prb,
                              const CompConfig& dst_cfg,

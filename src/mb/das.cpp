@@ -47,7 +47,7 @@ bool DasMiddlebox::group_done(std::uint64_t key) const {
 void DasMiddlebox::uplink(PacketPtr p, FhFrame& frame, MbContext& ctx) {
   if (!frame.is_uplane()) {
     // RUs only originate U-plane; anything else goes to the DU untouched.
-    ctx.forward(std::move(p), kNorth, cfg_.du_mac);
+    ctx.forward(std::move(p), kNorth, cfg_.du_mac, cfg_.north_mac);
     return;
   }
   const auto& u = frame.uplane();
@@ -55,7 +55,7 @@ void DasMiddlebox::uplink(PacketPtr p, FhFrame& frame, MbContext& ctx) {
   // PRACH streams are forwarded per-RU; the DU's detector is idempotent
   // and benefits from every RU's capture.
   if (fi ? fi->prach : frame.ecpri.eaxc.du_port != 0) {
-    ctx.forward(std::move(p), kNorth, cfg_.du_mac);
+    ctx.forward(std::move(p), kNorth, cfg_.du_mac, cfg_.north_mac);
     return;
   }
 
@@ -221,10 +221,7 @@ void DasMiddlebox::combine_group(std::uint64_t key, MbContext& ctx) {
     auto dst = primary.pkt->raw().subspan(psec[si].payload_offset,
                                           psec[si].payload_len);
     const std::size_t written = ctx.merge_payloads(
-        std::span<const std::span<const std::uint8_t>>(srcs.data(),
-                                                       srcs.size()),
-        std::span<const CompConfig>(src_comps.data(), src_comps.size()),
-        psec[si].num_prb, psec[si].comp, dst);
+        srcs, src_comps, psec[si].num_prb, psec[si].comp, dst);
     ok = written == psec[si].payload_len;
   }
   if (!ok) {
@@ -240,7 +237,7 @@ void DasMiddlebox::combine_group(std::uint64_t key, MbContext& ctx) {
   } else {
     ctx.telemetry().inc("das_merges");
   }
-  ctx.forward(std::move(primary.pkt), kNorth, cfg_.du_mac);
+  ctx.forward(std::move(primary.pkt), kNorth, cfg_.du_mac, cfg_.north_mac);
   for (auto& e : batch) {
     if (e.pkt) ctx.drop(std::move(e.pkt));  // A1 drop of the constituents
   }

@@ -26,6 +26,10 @@ namespace rb {
 
 struct DasConfig {
   MacAddr du_mac = MacAddr::du(0);
+  /// Source MAC of everything DAS forwards north: the one RU identity the
+  /// DU side sees, whichever RU a frame came from. A stage north of DAS
+  /// that checks its RU's source address (RU sharing) accepts the stream.
+  MacAddr north_mac = MacAddr::ru(0);
   std::vector<MacAddr> ru_macs;  // the DAS distribution set
   Scs scs = Scs::kHz30;          // for stale-slot detection on uplink
   /// Per-symbol combine deadline: a group older than this (relative to

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/middlebox.h"
+#include "ran/cell_config.h"
 
 namespace rb {
 
@@ -29,7 +30,7 @@ struct RuShareConfig {
   std::vector<ShareDu> dus;
   MacAddr ru_mac = MacAddr::ru(0);
   int ru_n_prb = 273;
-  Hertz ru_center_freq = GHz(3) + MHz(460);
+  Hertz ru_center_freq = kBand78Center;
   Scs scs = Scs::kHz30;
   /// Sub-carrier misalignment between DU and RU grids. 0 = aligned (the
   /// Appendix A.1.1 optimization); 1..11 forces the decompress-shift-

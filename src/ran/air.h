@@ -35,7 +35,7 @@ using UeId = int;
 struct RuSite {
   Position pos{};
   int n_antennas = 4;
-  Hertz center_freq = GHz(3) + MHz(460);
+  Hertz center_freq = kBand78Center;
   Hertz bandwidth = MHz(100);
 };
 

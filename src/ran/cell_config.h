@@ -33,10 +33,14 @@ struct PrachConfig {
   std::int32_t freq_offset = 0;  // set by CellConfig::finalize()
 };
 
+/// 3.46 GHz, in band 78 (the testbed's band): the default carrier center
+/// of cells, RUs and shared-RU grids.
+inline constexpr Hertz kBand78Center = GHz(3) + MHz(460);
+
 struct CellConfig {
   int cell_id = 0;
   std::uint16_t pci = 1;
-  Hertz center_freq = GHz(3) + MHz(460);  // 3.46 GHz, band 78
+  Hertz center_freq = kBand78Center;
   Hertz bandwidth = MHz(100);
   Scs scs = Scs::kHz30;
   int max_layers = 4;

@@ -1,8 +1,6 @@
 #include "ran/du.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 
 #include "common/log.h"
@@ -391,11 +389,6 @@ void DuModel::process_rx(std::int64_t slot, std::int64_t slot_start_ns) {
           slot_start_ns + std::int64_t(frame.at().symbol) *
                               symbol_duration_ns(cfg_.cell.scs);
       if (p->rx_time_ns > nominal + cfg_.latency_budget_ns) {
-        if (getenv("RB_DEBUG_LATE"))
-          fprintf(stderr, "[late@du] slot=%lld sym=%d over_by=%lldns cplane=%d\n",
-                  (long long)slot, frame.at().symbol,
-                  (long long)(p->rx_time_ns - nominal - cfg_.latency_budget_ns),
-                  int(frame.is_cplane()));
         ++stats_.late_drops;
         continue;
       }

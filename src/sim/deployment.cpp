@@ -93,6 +93,7 @@ MiddleboxRuntime& Deployment::add_das(DuHandle& du,
                                       DriverKind driver, int workers) {
   DasConfig cfg;
   cfg.du_mac = du.du->config().du_mac;
+  cfg.north_mac = du.du->config().ru_mac;  // the RU the DU addresses
   for (auto* r : ru_list) cfg.ru_macs.push_back(r->mac);
   auto app = std::make_unique<DasMiddlebox>(cfg);
 

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/chain.h"
 #include "core/middlebox.h"
 #include "ctrl/controller.h"
 #include "net/fault.h"

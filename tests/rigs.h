@@ -7,6 +7,8 @@
 //    floor, plus a seeded two-link fault cocktail.
 //  * add_das5_cell / add_direct_cell (exec and obs suites): the DAS e2e
 //    cell over five floor RUs, and an independent direct-wired cell.
+//  * available_tiers / TierGuard (kernel and BFP suites): sweep the IQ
+//    kernel tiers this CPU runs and restore the dispatched one afterwards.
 #pragma once
 
 #include <array>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "city/city.h"
+#include "iq/kernels/kernels.h"
 #include "sim/deployment.h"
 
 namespace rb {
@@ -163,6 +166,20 @@ struct DasChaosCity {
       cells.push_back(std::make_unique<DasChaosRig>(
           *city.add_cell("c" + std::to_string(i)).dep));
   }
+};
+
+/// The IQ kernel tiers this CPU can run, scalar first.
+inline std::vector<KernelTier> available_tiers() {
+  std::vector<KernelTier> v;
+  for (std::size_t t = 0; t < kKernelTierCount; ++t)
+    if (iq_ops_for(KernelTier(t)) != nullptr) v.push_back(KernelTier(t));
+  return v;
+}
+
+/// Restores the dispatch tier active at construction (tests force tiers).
+struct TierGuard {
+  KernelTier saved = iq_kernel_tier();
+  ~TierGuard() { iq_force_tier(saved); }
 };
 
 }  // namespace rb

@@ -1,10 +1,14 @@
 // Unit + property tests for the Block Floating Point codec and the PRB
-// payload kernels (the A4 primitives).
+// payload kernels (the A4 primitives). The round-trip, merge and shifted
+// copy tests run once per kernel tier this CPU supports, so the scalar
+// reference codec is exercised by value, not only by equivalence.
 #include <gtest/gtest.h>
 
 #include <random>
 
+#include "iq/kernels/kernels.h"
 #include "iq/prb.h"
+#include "rigs.h"
 
 namespace rb {
 namespace {
@@ -85,25 +89,30 @@ TEST_P(BfpRoundTrip, ErrorBoundedByExponent) {
   const int width = GetParam();
   const CompConfig cfg{CompMethod::BlockFloatingPoint, width};
   auto samples = random_samples(16, std::uint32_t(width) * 31u);
-  std::vector<std::uint8_t> comp(cfg.prb_bytes() * 16);
-  auto wrote = compress_prbs(IqConstSpan(samples.data(), samples.size()),
-                             cfg, comp);
-  ASSERT_TRUE(wrote.has_value());
-  EXPECT_EQ(*wrote, comp.size());
-  std::vector<IqSample> out(samples.size());
-  auto read = decompress_prbs(comp, 16, cfg, IqSpan(out.data(), out.size()));
-  ASSERT_TRUE(read.has_value());
-  EXPECT_EQ(*read, comp.size());
-  for (int p = 0; p < 16; ++p) {
-    const std::uint8_t e = bfp_wire_exponent(
-        std::span<const std::uint8_t>(comp).subspan(std::size_t(p) *
-                                                    cfg.prb_bytes()));
-    const int tol = 1 << e;
-    for (int k = 0; k < kScPerPrb; ++k) {
-      const auto& a = samples[std::size_t(p * kScPerPrb + k)];
-      const auto& b = out[std::size_t(p * kScPerPrb + k)];
-      EXPECT_LT(std::abs(a.i - b.i), tol) << "w=" << width << " prb=" << p;
-      EXPECT_LT(std::abs(a.q - b.q), tol);
+  TierGuard guard;
+  for (KernelTier t : available_tiers()) {
+    ASSERT_TRUE(iq_force_tier(t));
+    SCOPED_TRACE(kernel_tier_name(t));
+    std::vector<std::uint8_t> comp(cfg.prb_bytes() * 16);
+    auto wrote = compress_prbs(IqConstSpan(samples.data(), samples.size()),
+                               cfg, comp);
+    ASSERT_TRUE(wrote.has_value());
+    EXPECT_EQ(*wrote, comp.size());
+    std::vector<IqSample> out(samples.size());
+    auto read = decompress_prbs(comp, 16, cfg, IqSpan(out.data(), out.size()));
+    ASSERT_TRUE(read.has_value());
+    EXPECT_EQ(*read, comp.size());
+    for (int p = 0; p < 16; ++p) {
+      const std::uint8_t e = bfp_wire_exponent(
+          std::span<const std::uint8_t>(comp).subspan(std::size_t(p) *
+                                                      cfg.prb_bytes()));
+      const int tol = 1 << e;
+      for (int k = 0; k < kScPerPrb; ++k) {
+        const auto& a = samples[std::size_t(p * kScPerPrb + k)];
+        const auto& b = out[std::size_t(p * kScPerPrb + k)];
+        EXPECT_LT(std::abs(a.i - b.i), tol) << "w=" << width << " prb=" << p;
+        EXPECT_LT(std::abs(a.q - b.q), tol);
+      }
     }
   }
 }
@@ -113,11 +122,16 @@ INSTANTIATE_TEST_SUITE_P(Widths, BfpRoundTrip, ::testing::Values(2, 4, 7, 9, 12,
 TEST(BfpRoundTrip, Width16IsLossless) {
   const CompConfig cfg{CompMethod::BlockFloatingPoint, 16};
   auto samples = random_samples(8, 5);
-  std::vector<std::uint8_t> comp(cfg.prb_bytes() * 8);
-  compress_prbs(IqConstSpan(samples.data(), samples.size()), cfg, comp);
-  std::vector<IqSample> out(samples.size());
-  decompress_prbs(comp, 8, cfg, IqSpan(out.data(), out.size()));
-  EXPECT_EQ(samples, out);
+  TierGuard guard;
+  for (KernelTier t : available_tiers()) {
+    ASSERT_TRUE(iq_force_tier(t));
+    SCOPED_TRACE(kernel_tier_name(t));
+    std::vector<std::uint8_t> comp(cfg.prb_bytes() * 8);
+    compress_prbs(IqConstSpan(samples.data(), samples.size()), cfg, comp);
+    std::vector<IqSample> out(samples.size());
+    decompress_prbs(comp, 8, cfg, IqSpan(out.data(), out.size()));
+    EXPECT_EQ(samples, out);
+  }
 }
 
 TEST(CompNone, RoundTripsExactly) {
@@ -157,21 +171,26 @@ TEST(MergeCompressed, SumsTwoStreams) {
   const CompConfig cfg{CompMethod::BlockFloatingPoint, 16};  // lossless
   auto a = random_samples(4, 7, 8000);
   auto b = random_samples(4, 8, 8000);
-  std::vector<std::uint8_t> ca(cfg.prb_bytes() * 4), cb(cfg.prb_bytes() * 4);
-  compress_prbs(IqConstSpan(a.data(), a.size()), cfg, ca);
-  compress_prbs(IqConstSpan(b.data(), b.size()), cfg, cb);
-  std::vector<std::span<const std::uint8_t>> srcs{ca, cb};
-  std::vector<std::uint8_t> dst(ca.size());
-  PrbScratch scratch;
-  const std::size_t wrote = merge_compressed(
-      std::span<const std::span<const std::uint8_t>>(srcs.data(), 2), 4, cfg,
-      dst, scratch);
-  ASSERT_EQ(wrote, dst.size());
-  std::vector<IqSample> out(a.size());
-  ASSERT_TRUE(decompress_prbs(dst, 4, cfg, IqSpan(out.data(), out.size())));
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    EXPECT_EQ(out[k].i, sat16(a[k].i + b[k].i));
-    EXPECT_EQ(out[k].q, sat16(a[k].q + b[k].q));
+  TierGuard guard;
+  for (KernelTier t : available_tiers()) {
+    ASSERT_TRUE(iq_force_tier(t));
+    SCOPED_TRACE(kernel_tier_name(t));
+    std::vector<std::uint8_t> ca(cfg.prb_bytes() * 4), cb(cfg.prb_bytes() * 4);
+    compress_prbs(IqConstSpan(a.data(), a.size()), cfg, ca);
+    compress_prbs(IqConstSpan(b.data(), b.size()), cfg, cb);
+    const std::span<const std::uint8_t> srcs[] = {ca, cb};
+    const CompConfig cfgs[] = {cfg, cfg};
+    std::vector<std::uint8_t> dst(ca.size());
+    PrbScratch scratch;
+    const std::size_t wrote =
+        merge_compressed(srcs, cfgs, 4, cfg, dst, scratch);
+    ASSERT_EQ(wrote, dst.size());
+    std::vector<IqSample> out(a.size());
+    ASSERT_TRUE(decompress_prbs(dst, 4, cfg, IqSpan(out.data(), out.size())));
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      EXPECT_EQ(out[k].i, sat16(a[k].i + b[k].i));
+      EXPECT_EQ(out[k].q, sat16(a[k].q + b[k].q));
+    }
   }
 }
 
@@ -180,26 +199,29 @@ TEST(MergeCompressed, PreservesEnergyScaleAtW9) {
   const CompConfig cfg{CompMethod::BlockFloatingPoint, 9};
   auto a = random_samples(8, 9, 4000);
   auto b = random_samples(8, 10, 4000);
-  std::vector<std::uint8_t> ca(cfg.prb_bytes() * 8), cb(cfg.prb_bytes() * 8);
-  compress_prbs(IqConstSpan(a.data(), a.size()), cfg, ca);
-  compress_prbs(IqConstSpan(b.data(), b.size()), cfg, cb);
-  std::vector<std::span<const std::uint8_t>> srcs{ca, cb};
-  std::vector<std::uint8_t> dst(ca.size());
-  PrbScratch scratch;
-  ASSERT_GT(merge_compressed(
-                std::span<const std::span<const std::uint8_t>>(srcs.data(), 2),
-                8, cfg, dst, scratch),
-            0u);
-  std::vector<IqSample> out(a.size());
-  ASSERT_TRUE(decompress_prbs(dst, 8, cfg, IqSpan(out.data(), out.size())));
   // Reference: the element-wise sum of the original samples (the finite
   // sample cross-term means Pa+Pb is not the right reference).
   std::vector<IqSample> ref = a;
   accumulate(IqSpan(ref.data(), ref.size()),
              IqConstSpan(b.data(), b.size()));
   const double p_ref = mean_power(IqConstSpan(ref.data(), ref.size()));
-  const double p_out = mean_power(IqConstSpan(out.data(), out.size()));
-  EXPECT_NEAR(p_out, p_ref, p_ref * 0.02);  // quantization noise only
+  TierGuard guard;
+  for (KernelTier t : available_tiers()) {
+    ASSERT_TRUE(iq_force_tier(t));
+    SCOPED_TRACE(kernel_tier_name(t));
+    std::vector<std::uint8_t> ca(cfg.prb_bytes() * 8), cb(cfg.prb_bytes() * 8);
+    compress_prbs(IqConstSpan(a.data(), a.size()), cfg, ca);
+    compress_prbs(IqConstSpan(b.data(), b.size()), cfg, cb);
+    const std::span<const std::uint8_t> srcs[] = {ca, cb};
+    const CompConfig cfgs[] = {cfg, cfg};
+    std::vector<std::uint8_t> dst(ca.size());
+    PrbScratch scratch;
+    ASSERT_GT(merge_compressed(srcs, cfgs, 8, cfg, dst, scratch), 0u);
+    std::vector<IqSample> out(a.size());
+    ASSERT_TRUE(decompress_prbs(dst, 8, cfg, IqSpan(out.data(), out.size())));
+    const double p_out = mean_power(IqConstSpan(out.data(), out.size()));
+    EXPECT_NEAR(p_out, p_ref, p_ref * 0.02);  // quantization noise only
+  }
 }
 
 TEST(CopyPrbsAligned, MovesBytesVerbatim) {
@@ -225,19 +247,24 @@ TEST(CopyPrbsAligned, RejectsOutOfRange) {
 TEST(CopyPrbsShifted, ShiftsSamplesBySubcarriers) {
   const CompConfig cfg{CompMethod::BlockFloatingPoint, 16};
   auto a = random_samples(3, 12, 8000);
-  std::vector<std::uint8_t> src(cfg.prb_bytes() * 3);
-  compress_prbs(IqConstSpan(a.data(), a.size()), cfg, src);
-  std::vector<std::uint8_t> dst(cfg.prb_bytes() * 8, 0);
   const int shift = 5;
-  PrbScratch scratch;
-  ASSERT_TRUE(copy_prbs_shifted(src, 0, dst, 2, 3, shift, cfg, scratch));
-  std::vector<IqSample> out(4 * kScPerPrb);
-  ASSERT_TRUE(decompress_prbs(
-      std::span<const std::uint8_t>(dst).subspan(cfg.prb_bytes() * 2), 4, cfg,
-      IqSpan(out.data(), out.size())));
-  for (std::size_t k = 0; k < a.size(); ++k)
-    EXPECT_EQ(out[k + shift], a[k]) << "k=" << k;
-  for (int k = 0; k < shift; ++k) EXPECT_EQ(out[std::size_t(k)], IqSample{});
+  TierGuard guard;
+  for (KernelTier t : available_tiers()) {
+    ASSERT_TRUE(iq_force_tier(t));
+    SCOPED_TRACE(kernel_tier_name(t));
+    std::vector<std::uint8_t> src(cfg.prb_bytes() * 3);
+    compress_prbs(IqConstSpan(a.data(), a.size()), cfg, src);
+    std::vector<std::uint8_t> dst(cfg.prb_bytes() * 8, 0);
+    PrbScratch scratch;
+    ASSERT_TRUE(copy_prbs_shifted(src, 0, dst, 2, 3, shift, cfg, scratch));
+    std::vector<IqSample> out(4 * kScPerPrb);
+    ASSERT_TRUE(decompress_prbs(
+        std::span<const std::uint8_t>(dst).subspan(cfg.prb_bytes() * 2), 4,
+        cfg, IqSpan(out.data(), out.size())));
+    for (std::size_t k = 0; k < a.size(); ++k)
+      EXPECT_EQ(out[k + shift], a[k]) << "k=" << k;
+    for (int k = 0; k < shift; ++k) EXPECT_EQ(out[std::size_t(k)], IqSample{});
+  }
 }
 
 TEST(CopyPrbsShifted, RejectsInvalidShift) {

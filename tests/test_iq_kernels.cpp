@@ -22,6 +22,7 @@
 #include "net/packet.h"
 #include "obs/export.h"
 #include "obs/obs.h"
+#include "rigs.h"
 
 // ----------------------------------------------------------------------
 // Counting allocator: every global new/delete in this binary bumps the
@@ -86,40 +87,13 @@ std::vector<IqSample> random_samples(std::size_t n, std::uint32_t seed,
   return v;
 }
 
-std::vector<KernelTier> available_tiers() {
-  std::vector<KernelTier> v;
-  for (std::size_t t = 0; t < kKernelTierCount; ++t)
-    if (iq_ops_for(KernelTier(t)) != nullptr) v.push_back(KernelTier(t));
-  return v;
-}
-
-/// Restores the dispatch tier active at construction (tests force tiers).
-struct TierGuard {
-  KernelTier saved = iq_kernel_tier();
-  ~TierGuard() { iq_force_tier(saved); }
-};
-
 // ----------------------------------------------------------------------
 // Dispatch controls
 // ----------------------------------------------------------------------
 
 TEST(KernelDispatch, ScalarAlwaysAvailable) {
-  EXPECT_TRUE(iq_tier_available(KernelTier::Scalar));
   ASSERT_NE(iq_ops_for(KernelTier::Scalar), nullptr);
   EXPECT_EQ(iq_ops_for(KernelTier::Scalar)->tier, KernelTier::Scalar);
-}
-
-TEST(KernelDispatch, ParseTierNames) {
-  EXPECT_EQ(parse_kernel_tier("scalar"), KernelTier::Scalar);
-  EXPECT_EQ(parse_kernel_tier("sse42"), KernelTier::Sse42);
-  EXPECT_EQ(parse_kernel_tier("sse4.2"), KernelTier::Sse42);
-  EXPECT_EQ(parse_kernel_tier("avx2"), KernelTier::Avx2);
-  EXPECT_EQ(parse_kernel_tier("neon"), KernelTier::Neon);
-  EXPECT_FALSE(parse_kernel_tier("avx512").has_value());
-  EXPECT_FALSE(parse_kernel_tier("").has_value());
-  for (std::size_t t = 0; t < kKernelTierCount; ++t)
-    EXPECT_EQ(parse_kernel_tier(kernel_tier_name(KernelTier(t))),
-              KernelTier(t));
 }
 
 TEST(KernelDispatch, ForceTierSwitchesActiveOps) {
@@ -130,13 +104,13 @@ TEST(KernelDispatch, ForceTierSwitchesActiveOps) {
     EXPECT_EQ(iq_ops().tier, t);
     EXPECT_EQ(iqstats::kernel_tier().load(), int(t));
   }
-  // Forcing an unavailable tier fails and leaves the active one alone.
-  for (std::size_t t = 0; t < kKernelTierCount; ++t) {
-    if (iq_tier_available(KernelTier(t))) continue;
-    const KernelTier before = iq_kernel_tier();
-    EXPECT_FALSE(iq_force_tier(KernelTier(t)));
-    EXPECT_EQ(iq_kernel_tier(), before);
-  }
+  // Forcing a tier with no kernel table fails and leaves the active one
+  // alone, whatever this CPU supports.
+  const KernelTier before = iq_kernel_tier();
+  EXPECT_EQ(iq_ops_for(KernelTier(kKernelTierCount)), nullptr);
+  EXPECT_FALSE(iq_force_tier(KernelTier(kKernelTierCount)));
+  EXPECT_EQ(iq_kernel_tier(), before);
+  EXPECT_EQ(iq_ops().tier, before);
 }
 
 // ----------------------------------------------------------------------
@@ -351,33 +325,39 @@ TEST(BfpRegression, FullScaleNegativeRoundTrips) {
 // ----------------------------------------------------------------------
 
 TEST(Fuzz, CorruptAndTruncatedInputs) {
-  std::mt19937 rng(4242);
-  std::uniform_int_distribution<int> wdist(2, 16);
-  std::uniform_int_distribution<int> pdist(1, 8);
-  std::uniform_int_distribution<int> bdist(0, 255);
-  for (int iter = 0; iter < 500; ++iter) {
-    const int width = wdist(rng);
-    const int n_prb = pdist(rng);
-    const CompConfig cfg{iter % 5 == 0 ? CompMethod::None
-                                       : CompMethod::BlockFloatingPoint,
-                         width};
-    const std::size_t need = cfg.prb_bytes() * std::size_t(n_prb);
-    // Exact-size heap buffer: one byte past the end trips ASan.
-    std::vector<std::uint8_t> wire(need);
-    for (auto& b : wire) b = std::uint8_t(bdist(rng));
-    std::vector<IqSample> out(std::size_t(n_prb) * kScPerPrb);
-    auto full = decompress_prbs(std::span<const std::uint8_t>(wire), n_prb,
-                                cfg, IqSpan(out.data(), out.size()));
-    ASSERT_TRUE(full.has_value());
-    EXPECT_EQ(*full, need);
-    // Any truncation must reject without touching out-of-range bytes.
-    const std::size_t cut = std::size_t(rng()) % need;
-    EXPECT_FALSE(decompress_prbs(
-        std::span<const std::uint8_t>(wire.data(), cut), n_prb, cfg,
-        IqSpan(out.data(), out.size())));
-    // Undersized sample buffer is rejected up front.
-    EXPECT_FALSE(decompress_prbs(std::span<const std::uint8_t>(wire), n_prb,
-                                 cfg, IqSpan(out.data(), out.size() - 1)));
+  TierGuard guard;
+  for (KernelTier t : available_tiers()) {
+    ASSERT_TRUE(iq_force_tier(t));
+    SCOPED_TRACE(kernel_tier_name(t));
+    std::mt19937 rng(4242);
+    std::uniform_int_distribution<int> wdist(2, 16);
+    std::uniform_int_distribution<int> pdist(1, 8);
+    std::uniform_int_distribution<int> bdist(0, 255);
+    for (int iter = 0; iter < 500; ++iter) {
+      const int width = wdist(rng);
+      const int n_prb = pdist(rng);
+      const CompConfig cfg{iter % 5 == 0 ? CompMethod::None
+                                         : CompMethod::BlockFloatingPoint,
+                           width};
+      const std::size_t need = cfg.prb_bytes() * std::size_t(n_prb);
+      // Exact-size heap buffer: one byte past the end trips ASan.
+      std::vector<std::uint8_t> wire(need);
+      for (auto& b : wire) b = std::uint8_t(bdist(rng));
+      std::vector<IqSample> out(std::size_t(n_prb) * kScPerPrb);
+      auto full = decompress_prbs(std::span<const std::uint8_t>(wire), n_prb,
+                                  cfg, IqSpan(out.data(), out.size()));
+      ASSERT_TRUE(full.has_value());
+      EXPECT_EQ(*full, need);
+      // Any truncation must reject without touching out-of-range bytes.
+      const std::size_t cut = std::size_t(rng()) % need;
+      EXPECT_FALSE(decompress_prbs(
+          std::span<const std::uint8_t>(wire.data(), cut), n_prb, cfg,
+          IqSpan(out.data(), out.size())));
+      // Undersized sample buffer is rejected up front.
+      EXPECT_FALSE(decompress_prbs(std::span<const std::uint8_t>(wire),
+                                   n_prb, cfg,
+                                   IqSpan(out.data(), out.size() - 1)));
+    }
   }
 }
 
@@ -387,7 +367,8 @@ TEST(Fuzz, CorruptAndTruncatedInputs) {
 
 TEST(ZeroAlloc, MergeCompressedSteadyState) {
   // The decompress -> combine -> recompress path must not allocate once
-  // the per-worker scratch is warm.
+  // the per-worker scratch is warm, on any tier.
+  TierGuard guard;
   const CompConfig cfg{CompMethod::BlockFloatingPoint, 9};
   const int n_prb = 64;
   auto a = random_samples(std::size_t(n_prb) * kScPerPrb, 301, 8000);
@@ -396,61 +377,71 @@ TEST(ZeroAlloc, MergeCompressedSteadyState) {
   std::vector<std::uint8_t> cb(ca.size()), dst(ca.size());
   ASSERT_TRUE(compress_prbs(IqConstSpan(a.data(), a.size()), cfg, ca));
   ASSERT_TRUE(compress_prbs(IqConstSpan(b.data(), b.size()), cfg, cb));
-  const std::span<const std::uint8_t> srcs_arr[] = {ca, cb};
-  const std::span<const std::span<const std::uint8_t>> srcs(srcs_arr, 2);
-  PrbScratch scratch;
-  ASSERT_GT(merge_compressed(srcs, n_prb, cfg, dst, scratch), 0u);  // warm
-  const std::uint64_t before = allocs();
-  for (int k = 0; k < 100; ++k)
-    ASSERT_GT(merge_compressed(srcs, n_prb, cfg, dst, scratch), 0u);
-  EXPECT_EQ(allocs(), before);
+  const std::span<const std::uint8_t> srcs[] = {ca, cb};
+  const CompConfig cfgs[] = {cfg, cfg};
+  for (KernelTier t : available_tiers()) {
+    ASSERT_TRUE(iq_force_tier(t));
+    PrbScratch scratch;
+    ASSERT_GT(merge_compressed(srcs, cfgs, n_prb, cfg, dst, scratch), 0u);
+    const std::uint64_t before = allocs();
+    for (int k = 0; k < 100; ++k)
+      ASSERT_GT(merge_compressed(srcs, cfgs, n_prb, cfg, dst, scratch), 0u);
+    EXPECT_EQ(allocs(), before) << kernel_tier_name(t);
+  }
   EXPECT_GE(iqstats::arena_samples_hwm().load(),
             std::uint64_t(n_prb) * kScPerPrb);
 }
 
 TEST(ZeroAlloc, CombineScratchSteadyState) {
   // The DAS-combine shape: take cached copies into the worker arena,
-  // collect per-section source spans, merge, release the buffers. After
-  // warm-up the take/dedup/merge/release window performs no allocations
-  // (cache puts still allocate map nodes - that is the A3 put path, not
-  // the combine).
+  // collect per-section source spans and widths, merge, release the
+  // buffers. After warm-up the take/dedup/merge/release window performs
+  // no allocations on any tier (cache puts still allocate map nodes -
+  // that is the A3 put path, not the combine).
+  TierGuard guard;
   const CompConfig cfg{CompMethod::BlockFloatingPoint, 9};
   const int n_prb = 32;
   const std::size_t payload = cfg.prb_bytes() * std::size_t(n_prb);
   auto samples = random_samples(std::size_t(n_prb) * kScPerPrb, 303, 8000);
-  PacketPool pool(16);
-  PacketCache cache;
-  MbScratch sc;
-  PrbScratch prb_scratch;
-  std::vector<std::uint8_t> dst(payload);
-  constexpr int kCopies = 4;
-  for (int iter = 0; iter < 20; ++iter) {
-    // Fill phase (allocations allowed): cache kCopies compressed copies.
-    for (int c = 0; c < kCopies; ++c) {
-      PacketPtr p = pool.alloc();
-      ASSERT_TRUE(p);
-      auto wrote = compress_prbs(IqConstSpan(samples.data(), samples.size()),
-                                 cfg, p->raw());
-      ASSERT_TRUE(wrote.has_value());
-      p->set_len(*wrote);
-      cache.put(7, CachedPacket{std::move(p), FhFrame{}, 0});
+  for (KernelTier t : available_tiers()) {
+    ASSERT_TRUE(iq_force_tier(t));
+    PacketPool pool(16);
+    PacketCache cache;
+    MbScratch sc;
+    PrbScratch prb_scratch;
+    std::vector<std::uint8_t> dst(payload);
+    constexpr int kCopies = 4;
+    for (int iter = 0; iter < 20; ++iter) {
+      // Fill phase (allocations allowed): cache kCopies compressed copies.
+      for (int c = 0; c < kCopies; ++c) {
+        PacketPtr p = pool.alloc();
+        ASSERT_TRUE(p);
+        auto wrote = compress_prbs(
+            IqConstSpan(samples.data(), samples.size()), cfg, p->raw());
+        ASSERT_TRUE(wrote.has_value());
+        p->set_len(*wrote);
+        cache.put(7, CachedPacket{std::move(p), FhFrame{}, 0});
+      }
+      const std::uint64_t before = allocs();
+      cache.take_into(7, sc.batch);
+      ASSERT_EQ(sc.batch.size(), std::size_t(kCopies));
+      sc.srcs.clear();
+      sc.src_comps.clear();
+      for (auto& e : sc.batch) {
+        sc.srcs.push_back(e.pkt->data());
+        sc.src_comps.push_back(cfg);
+      }
+      const std::size_t wrote = merge_compressed(sc.srcs, sc.src_comps, n_prb,
+                                                 cfg, dst, prb_scratch);
+      ASSERT_EQ(wrote, payload);
+      for (auto& e : sc.batch) e.pkt.reset();  // back to the pool (magazine)
+      if (iter >= 2) {
+        EXPECT_EQ(allocs(), before)
+            << kernel_tier_name(t) << " iteration " << iter;
+      }
     }
-    const std::uint64_t before = allocs();
-    cache.take_into(7, sc.batch);
-    ASSERT_EQ(sc.batch.size(), std::size_t(kCopies));
-    sc.srcs.clear();
-    for (auto& e : sc.batch) sc.srcs.push_back(e.pkt->data());
-    const std::size_t wrote = merge_compressed(
-        std::span<const std::span<const std::uint8_t>>(sc.srcs.data(),
-                                                       sc.srcs.size()),
-        n_prb, cfg, dst, prb_scratch);
-    ASSERT_EQ(wrote, payload);
-    for (auto& e : sc.batch) e.pkt.reset();  // back to the pool (magazine)
-    if (iter >= 2) {
-      EXPECT_EQ(allocs(), before) << "iteration " << iter;
-    }
+    EXPECT_EQ(pool.in_use(), 0u);
   }
-  EXPECT_EQ(pool.in_use(), 0u);
 }
 
 /// Forwards everything to the runtime's south port. The test leaves that

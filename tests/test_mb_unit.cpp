@@ -105,6 +105,7 @@ TEST(DasUnit, UplinkMergeSumsConstituents) {
   const FhContext ctx = ctx100();
   DasConfig cfg;
   cfg.du_mac = MacAddr::du(0);
+  cfg.north_mac = MacAddr::mb(1);  // as when an RU-sharing stage sits north
   cfg.ru_macs = {MacAddr::ru(0), MacAddr::ru(1)};
   DasMiddlebox app(cfg);
   Harness h(app, 2, ctx);
@@ -127,6 +128,8 @@ TEST(DasUnit, UplinkMergeSumsConstituents) {
   FhFrame f;
   ASSERT_TRUE(parse_frame_into(out[0]->data(), ctx, f));
   EXPECT_EQ(f.eth.dst, cfg.du_mac);
+  // The DU side sees one RU identity, whichever RU a copy came from.
+  EXPECT_EQ(f.eth.src, cfg.north_mac);
   const auto& sec = f.uplane().sections[0];
   std::vector<IqSample> merged(std::size_t(sec.num_prb) * kScPerPrb);
   ASSERT_TRUE(decompress_prbs(
@@ -134,6 +137,19 @@ TEST(DasUnit, UplinkMergeSumsConstituents) {
       sec.num_prb, sec.comp, IqSpan(merged.data(), merged.size())));
   // 1000 + 500 = 1500, within one BFP quantization step.
   for (const auto& s : merged) EXPECT_NEAR(s.i, 1500, 8);
+  EXPECT_EQ(h.rt.telemetry().counter("das_merges"), 1u);
+
+  // PRACH (non-zero du_port) is forwarded per RU, not merged, under the
+  // same north identity.
+  h.ext[1]->send(uplane_pkt(ctx, Direction::Uplink, at, {1, 0, 0, 0}, 0, 4,
+                            700, MacAddr::ru(1)));
+  h.rt.pump(slot, 0);
+  out = h.drain(DasMiddlebox::kNorth);
+  ASSERT_EQ(out.size(), 1u);
+  ASSERT_TRUE(parse_frame_into(out[0]->data(), ctx, f));
+  EXPECT_EQ(f.ecpri.eaxc.du_port, 1);
+  EXPECT_EQ(f.eth.dst, cfg.du_mac);
+  EXPECT_EQ(f.eth.src, cfg.north_mac);
   EXPECT_EQ(h.rt.telemetry().counter("das_merges"), 1u);
 }
 
